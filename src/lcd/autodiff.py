@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,11 @@ __all__ = [
     "grad_check",
     "adam_update",
     "glorot_uniform",
+    "add_mlp",
+    "layer_count",
+    "mlp",
+    "as_points",
+    "block_size",
     "add",
     "add_row",
     "sub",
@@ -66,19 +71,14 @@ __all__ = [
 
 
 class Tensor:
-    """A shaped array of float64 values, optionally linked to a tape.
+    """A shaped array of float64 values; leaf tensors (constants,
+    parameters) may be reused freely across tapes."""
 
-    ``tape_id`` identifies the tape that produced the tensor as an op
-    output; leaf tensors (constants, parameters) keep ``None`` and may be
-    reused freely across tapes.
-    """
-
-    __slots__ = ("data", "name", "tape_id")
+    __slots__ = ("data", "name")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.name = name
-        self.tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -126,7 +126,9 @@ def tensor(value, name: str | None = None) -> Tensor:
 class _Op:
     check: Callable[[Sequence[np.ndarray], dict], None]
     forward: Callable[[Sequence[np.ndarray], dict], np.ndarray]
-    backward: Callable[[Sequence[np.ndarray], np.ndarray, np.ndarray, dict], list]
+    # backward(xs, out, g, attrs, want) returns one gradient per input; it may
+    # return None for an input whose want flag is False
+    backward: Callable[[Sequence[np.ndarray], np.ndarray, np.ndarray, dict, list], list]
 
 
 _OPS: dict[str, _Op] = {}
@@ -225,77 +227,77 @@ _defop(
     "add",
     _want_same_shape("add"),
     lambda xs, at: xs[0] + xs[1],
-    lambda xs, out, g, at: [g, g],
+    lambda xs, out, g, at, want: [g, g],
 )
 _defop(
     "sub",
     _want_same_shape("sub"),
     lambda xs, at: xs[0] - xs[1],
-    lambda xs, out, g, at: [g, -g],
+    lambda xs, out, g, at, want: [g, -g],
 )
 _defop(
     "mul",
     _want_same_shape("mul"),
     lambda xs, at: xs[0] * xs[1],
-    lambda xs, out, g, at: [g * xs[1], g * xs[0]],
+    lambda xs, out, g, at, want: [g * xs[1] if want[0] else None, g * xs[0] if want[1] else None],
 )
 _defop(
     "div",
     _want_same_shape("div"),
     lambda xs, at: xs[0] / xs[1],
-    lambda xs, out, g, at: [g / xs[1], -g * xs[0] / (xs[1] * xs[1])],
+    lambda xs, out, g, at, want: [g / xs[1], -g * xs[0] / (xs[1] * xs[1])],
 )
 _defop(
     "add_row",
     _check_add_row,
     lambda xs, at: xs[0] + xs[1],
-    lambda xs, out, g, at: [g, g.sum(axis=0)],
+    lambda xs, out, g, at, want: [g, g.sum(axis=0) if want[1] else None],
 )
 _defop(
     "matmul",
     _check_matmul,
     lambda xs, at: xs[0] @ xs[1],
-    lambda xs, out, g, at: [g @ xs[1].T, xs[0].T @ g],
+    lambda xs, out, g, at, want: [g @ xs[1].T if want[0] else None, xs[0].T @ g if want[1] else None],
 )
-_defop("neg", _want_any, lambda xs, at: -xs[0], lambda xs, out, g, at: [-g])
+_defop("neg", _want_any, lambda xs, at: -xs[0], lambda xs, out, g, at, want: [-g])
 _defop(
     "relu",
     _want_any,
     lambda xs, at: np.maximum(xs[0], 0.0),
-    lambda xs, out, g, at: [g * (xs[0] > 0.0)],
+    lambda xs, out, g, at, want: [g * (xs[0] > 0.0)],
 )
-_defop("exp", _want_any, lambda xs, at: np.exp(xs[0]), lambda xs, out, g, at: [g * out])
-_defop("log", _want_any, lambda xs, at: np.log(xs[0]), lambda xs, out, g, at: [g / xs[0]])
+_defop("exp", _want_any, lambda xs, at: np.exp(xs[0]), lambda xs, out, g, at, want: [g * out])
+_defop("log", _want_any, lambda xs, at: np.log(xs[0]), lambda xs, out, g, at, want: [g / xs[0]])
 _defop(
     "sqrt",
     _want_any,
     lambda xs, at: np.sqrt(xs[0]),
     # zero subgradient at 0, where the true derivative diverges
-    lambda xs, out, g, at: [np.where(out > 0.0, g * 0.5 / np.where(out > 0.0, out, 1.0), 0.0)],
+    lambda xs, out, g, at, want: [np.where(out > 0.0, g * 0.5 / np.where(out > 0.0, out, 1.0), 0.0)],
 )
 _defop(
     "square",
     _want_any,
     lambda xs, at: xs[0] * xs[0],
-    lambda xs, out, g, at: [2.0 * g * xs[0]],
+    lambda xs, out, g, at, want: [2.0 * g * xs[0]],
 )
 _defop(
     "scale",
     _want_any,
     lambda xs, at: xs[0] * at["value"],
-    lambda xs, out, g, at: [g * at["value"]],
+    lambda xs, out, g, at, want: [g * at["value"]],
 )
 _defop(
     "shift",
     _want_any,
     lambda xs, at: xs[0] + at["value"],
-    lambda xs, out, g, at: [g],
+    lambda xs, out, g, at, want: [g],
 )
 _defop(
     "concat",
     _check_concat,
     lambda xs, at: np.concatenate(xs, axis=0 if xs[0].ndim == 1 else 1),
-    lambda xs, out, g, at: list(np.split(g, _concat_splits(xs)[1], axis=_concat_splits(xs)[0])),
+    lambda xs, out, g, at, want: list(np.split(g, _concat_splits(xs)[1], axis=_concat_splits(xs)[0])),
 )
 
 
@@ -308,7 +310,7 @@ def _group_max_forward(xs, attrs):
     return np.take_along_axis(blocks, am[:, None, :], axis=1)[:, 0, :]
 
 
-def _group_max_backward(xs, out, g, attrs):
+def _group_max_backward(xs, out, g, attrs, want):
     (a,) = xs
     n = attrs["size"]
     buf = np.zeros((out.shape[0], n, a.shape[1]))
@@ -321,29 +323,29 @@ _defop(
     "group_sum",
     _check_group("group_sum"),
     lambda xs, at: xs[0].reshape(-1, at["size"], xs[0].shape[1]).sum(axis=1),
-    lambda xs, out, g, at: [np.repeat(g, at["size"], axis=0)],
+    lambda xs, out, g, at, want: [np.repeat(g, at["size"], axis=0)],
 )
 _defop(
     "repeat_rows",
     _check_repeat,
     lambda xs, at: np.repeat(xs[0], at["times"], axis=0),
-    lambda xs, out, g, at: [g.reshape(xs[0].shape[0], at["times"], -1).sum(axis=1)],
+    lambda xs, out, g, at, want: [g.reshape(xs[0].shape[0], at["times"], -1).sum(axis=1)],
 )
 _defop(
     "row_sum",
     _check_2d("row_sum"),
     lambda xs, at: xs[0].sum(axis=1, keepdims=True),
-    lambda xs, out, g, at: [np.repeat(g, xs[0].shape[1], axis=1)],
+    lambda xs, out, g, at, want: [np.repeat(g, xs[0].shape[1], axis=1)],
 )
 _defop(
     "sum_all",
     _want_any,
     lambda xs, at: np.asarray(xs[0].sum()),
-    lambda xs, out, g, at: [np.full(xs[0].shape, np.asarray(g).reshape(()))],
+    lambda xs, out, g, at, want: [np.full(xs[0].shape, np.asarray(g).reshape(()))],
 )
 
 
-def _gather_backward(xs, out, g, attrs):
+def _gather_backward(xs, out, g, attrs, want):
     buf = np.zeros_like(xs[0])
     np.add.at(buf, attrs["indices"], g)
     return [buf]
@@ -359,7 +361,7 @@ _defop(
     "reshape",
     _check_reshape,
     lambda xs, at: xs[0].reshape(at["shape"]),
-    lambda xs, out, g, at: [g.reshape(xs[0].shape)],
+    lambda xs, out, g, at, want: [g.reshape(xs[0].shape)],
 )
 
 
@@ -402,12 +404,7 @@ class Tape:
     thread of control; independent tapes may run concurrently.
     """
 
-    _next_id = 0
-
-    def __init__(self, strict: bool = False):
-        Tape._next_id += 1
-        self.id = Tape._next_id
-        self.strict = strict
+    def __init__(self):
         self.entries: list[TapeEntry] = []
         self._tensors: list[Tensor] = []
         self._uids: dict[int, int] = {}
@@ -435,34 +432,13 @@ class Tape:
     def record_entry(self, op: str, inputs: Sequence[Tensor], output: Tensor, attrs: dict) -> None:
         in_ids = tuple(self._touch(t) for t in inputs)
         out_id = self._touch(output)
-        output.tape_id = self.id
         self.entries.append(TapeEntry(op, in_ids, out_id, attrs))
-
-    def leaves(self) -> Iterator[Tensor]:
-        produced = {e.output for e in self.entries}
-        for uid, t in enumerate(self._tensors):
-            if uid not in produced:
-                yield t
-
-    def replay(self) -> dict[int, np.ndarray]:
-        """Re-execute every entry from current leaf values.
-
-        Returns freshly computed arrays keyed by output handle; with
-        unchanged inputs the replay is bit-identical to the original pass.
-        """
-        values: dict[int, np.ndarray] = {}
-        for entry in self.entries:
-            xs = [values.get(uid, self._tensors[uid].data) for uid in entry.inputs]
-            raw = _OPS[entry.op].forward(xs, entry.attrs)
-            values[entry.output] = np.ascontiguousarray(raw, dtype=np.float64)
-        return values
 
 
 def record(op: str, *inputs: Tensor, **attrs) -> Tensor:
     """Apply primitive ``op`` and record it on the active tape, if any.
 
-    Raises ValueError on shape mismatches; in strict tapes, non-finite
-    input values raise FloatingPointError.
+    Raises ValueError on shape mismatches.
     """
     if op not in _OPS:
         raise ValueError(f"unknown op kind {op!r}")
@@ -470,10 +446,6 @@ def record(op: str, *inputs: Tensor, **attrs) -> Tensor:
     datas = [t.data for t in inputs]
     spec.check(datas, attrs)
     tape = active_tape()
-    if tape is not None and tape.strict:
-        for k, x in enumerate(datas):
-            if not np.isfinite(x).all():
-                raise FloatingPointError(f"{op}: input {k} contains non-finite values")
     out = Tensor(spec.forward(datas, attrs))
     if tape is not None:
         tape.record_entry(op, inputs, out, attrs)
@@ -581,20 +553,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 # --------------------------------------------------------------------------
 # backward
 
-# variants that skip the expensive per-input products when pruning says an
-# input's gradient is not wanted; entries elsewhere fall back to full backward
-_SPLIT_BACKWARD = {
-    "matmul": lambda xs, out, g, at, want: [
-        g @ xs[1].T if want[0] else None,
-        xs[0].T @ g if want[1] else None,
-    ],
-    "mul": lambda xs, out, g, at, want: [
-        g * xs[1] if want[0] else None,
-        g * xs[0] if want[1] else None,
-    ],
-}
-
-
 class Gradients(Mapping):
     """Result of :func:`backward`.
 
@@ -628,7 +586,6 @@ def backward(
     tape: Tape,
     root: Tensor,
     params: "ParamSet | Iterable[ParamSet] | None" = None,
-    track: Sequence[Tensor] | None = None,
 ) -> Gradients:
     """Differentiate ``root`` with respect to tensors recorded on ``tape``.
 
@@ -636,9 +593,8 @@ def backward(
     ``params`` is given, the returned mapping covers every parameter name,
     with zero gradients for parameters the root does not depend on, and
     gradient propagation is pruned to subgraphs that can reach a requested
-    parameter or a tensor listed in ``track`` (so ``wrt`` is only
-    meaningful for those). With neither given, every recorded tensor's
-    gradient is computed.
+    parameter (so ``wrt`` is only meaningful for those). Without it, every
+    recorded tensor's gradient is computed.
     """
     root_uid = tape.uid_of(root)
     if root_uid is None:
@@ -653,17 +609,13 @@ def backward(
     # an entry's input gradient is worth computing only if the input sits on
     # a path from a requested tensor up to the root
     useful: set[int] | None = None
-    if sets or track:
+    if sets:
         useful = set()
         for pset in sets:
             for _, p in pset.items():
                 uid = tape.uid_of(p)
                 if uid is not None:
                     useful.add(uid)
-        for t in track or ():
-            uid = tape.uid_of(t)
-            if uid is not None:
-                useful.add(uid)
         for entry in tape.entries:
             if entry.output not in useful and any(u in useful for u in entry.inputs):
                 useful.add(entry.output)
@@ -673,18 +625,14 @@ def backward(
         g = grads.get(entry.output)
         if g is None:
             continue
-        if useful is not None and not any(u in useful for u in entry.inputs):
+        want = [useful is None or u in useful for u in entry.inputs]
+        if not any(want):
             continue
         xs = [tape._tensors[uid].data for uid in entry.inputs]
         out = tape._tensors[entry.output].data
-        if useful is not None and len(entry.inputs) > 1 and entry.op in _SPLIT_BACKWARD:
-            contribs = _SPLIT_BACKWARD[entry.op](
-                xs, out, g, entry.attrs, [u in useful for u in entry.inputs]
-            )
-        else:
-            contribs = _OPS[entry.op].backward(xs, out, g, entry.attrs)
-        for uid, c in zip(entry.inputs, contribs):
-            if c is None or (useful is not None and uid not in useful):
+        contribs = _OPS[entry.op].backward(xs, out, g, entry.attrs, want)
+        for uid, c, w in zip(entry.inputs, contribs, want):
+            if c is None or not w:
                 continue
             acc = grads.get(uid)
             grads[uid] = c if acc is None else acc + c
@@ -698,7 +646,7 @@ def backward(
                 uid = tape.uid_of(p)
                 g = grads.get(uid) if uid is not None else None
                 named[name] = Tensor(g if g is not None else np.zeros_like(p.data))
-    elif params is None and track is None:
+    elif params is None:
         for t in tape._tensors:
             if t.name is not None and tape.uid_of(t) in grads:
                 named[t.name] = Tensor(grads[tape.uid_of(t)])
@@ -746,9 +694,6 @@ class ParamSet:
 
     def items(self):
         return self._tensors.items()
-
-    def values_copy(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self._tensors.items()}
 
     def load_values(self, values: Mapping[str, np.ndarray]) -> None:
         """Overwrite parameter data in place; shapes must match exactly."""
@@ -800,6 +745,55 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     """Fan-balanced uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
+def add_mlp(params: ParamSet, rng: np.random.Generator, prefix: str, sizes: Sequence[int]) -> None:
+    """Add a dense stack through ``sizes``: glorot weights ``prefix.w{k}``
+    and zero biases ``prefix.b{k}``, drawn layer by layer."""
+    for k in range(len(sizes) - 1):
+        params.add(f"{prefix}.w{k}", glorot_uniform(rng, sizes[k], sizes[k + 1]))
+        params.add(f"{prefix}.b{k}", np.zeros(sizes[k + 1]))
+
+
+def layer_count(params: ParamSet, prefix: str) -> int:
+    """Number of layers ``prefix.w0``, ``prefix.w1``, ... in ``params``."""
+    n = 0
+    while f"{prefix}.w{n}" in params:
+        n += 1
+    return n
+
+
+def mlp(x: Tensor, params: ParamSet, prefix: str, relu_last: bool = True, first: int = 0) -> Tensor:
+    """Apply layers ``first``.. of the ``prefix`` stack row-wise: ``x @ w + b``,
+    then relu, except after the last layer unless ``relu_last``."""
+    last = layer_count(params, prefix) - 1
+    for k in range(first, last + 1):
+        w, b = params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]
+        # one expression per layer, as in the encoder loop this replaced: with
+        # add_row and relu split, eval-2048's peak RSS read 20 MB higher
+        x = relu(add_row(x @ w, b)) if relu_last or k < last else add_row(x @ w, b)
+    return x
+
+
+def as_points(value, name: str) -> Tensor:
+    """Wrap ``value`` as a Tensor and check it is a nonempty (n, 3) matrix."""
+    t = tensor(value)
+    if t.data.ndim != 2 or t.data.shape[1] != 3:
+        raise ValueError(f"{name}: expected shape (n, 3), got {t.data.shape}")
+    if t.data.shape[0] < 1:
+        raise ValueError(f"{name}: needs at least one point")
+    return t
+
+
+def block_size(t: Tensor, size: int | None, name: str) -> int:
+    """Rows per stacked block of ``t``; None means one block of all rows."""
+    rows = t.data.shape[0]
+    if size is None:
+        return rows
+    size = int(size)
+    if size < 1 or rows % size != 0:
+        raise ValueError(f"{name}: {rows} rows do not split into blocks of {size}")
+    return size
 
 
 # --------------------------------------------------------------------------

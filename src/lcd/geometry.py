@@ -3,8 +3,9 @@
 Two matching backends are provided: a brute-force scan and a kd-tree.
 Both compute squared distances with the same arithmetic (sum of squared
 coordinate differences, no expansion tricks), and both break ties toward
-the lowest candidate index, so their outputs are bit-identical. The tree
-pays off once clouds pass a few hundred points; the scan is the reference.
+the lowest candidate index, so their outputs are bit-identical. The scan
+is also faster at every size measured (256 to 2048 points): :class:`KdTree`
+is the exactness oracle for the scan (acceptance criterion 4), not a speed-up.
 
 Distances returned by :func:`nn_match` are squared. The metric functions
 take square roots where their definitions need Euclidean lengths.

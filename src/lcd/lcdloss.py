@@ -41,7 +41,6 @@ __all__ = [
     "SCORE_BIAS_INIT",
     "LcdResult",
     "init_lcd_params",
-    "feature_net",
     "siacon",
     "siaatt",
     "normalize_weights",
@@ -93,17 +92,11 @@ def init_lcd_params(
         raise ValueError(f"head_widths must be positive and nonempty, got {head_widths}")
 
     params = ParamSet()
-
-    def mlp(prefix: str, sizes: tuple[int, ...]) -> None:
-        for k in range(len(sizes) - 1):
-            params.add(f"{prefix}.w{k}", ad.glorot_uniform(rng, sizes[k], sizes[k + 1]))
-            params.add(f"{prefix}.b{k}", np.zeros(sizes[k + 1]))
-
     if use_siacon:
-        mlp("f1", (3,) + feat_widths)
-    mlp("f2", (3,) + feat_widths)
+        ad.add_mlp(params, rng, "f1", (3,) + feat_widths)
+    ad.add_mlp(params, rng, "f2", (3,) + feat_widths)
     g_in = 3 + feat_widths[-1] + (2 * feat_widths[-1] if use_siacon else 0)
-    mlp("g", (g_in,) + head_widths + (1,))
+    ad.add_mlp(params, rng, "g", (g_in,) + head_widths + (1,))
     if zero_final:
         last = len(head_widths)
         params[f"g.w{last}"].data[:] = 0.0
@@ -111,53 +104,19 @@ def init_lcd_params(
     return params
 
 
-def _layer_count(params: ParamSet, prefix: str) -> int:
-    n = 0
-    while f"{prefix}.w{n}" in params:
-        n += 1
-    return n
-
-
-def feature_net(x: Tensor, params: ParamSet, prefix: str) -> Tensor:
-    """Per-point MLP with relu after every layer, applied row-wise."""
-    h = x
-    for k in range(_layer_count(params, prefix)):
-        h = ad.relu(ad.add_row(h @ params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]))
-    return h
-
-
-def _as_points(s, name: str) -> Tensor:
-    t = s if isinstance(s, Tensor) else ad.tensor(np.asarray(s, dtype=np.float64))
-    if t.data.ndim != 2 or t.data.shape[1] != 3:
-        raise ValueError(f"{name}: expected shape (n, 3), got {t.data.shape}")
-    if t.data.shape[0] < 1:
-        raise ValueError(f"{name}: needs at least one point")
-    return t
-
-
-def _group_size(t: Tensor, size: int | None, name: str) -> int:
-    rows = t.data.shape[0]
-    if size is None:
-        return rows
-    size = int(size)
-    if size < 1 or rows % size != 0:
-        raise ValueError(f"{name}: {rows} rows do not split into blocks of {size}")
-    return size
-
-
 def siacon(s_i, s_o, params: ParamSet, size_i: int | None = None, size_o: int | None = None) -> Tensor:
     """Pair summary: shared per-point net pooled over each cloud, concatenated.
 
     Returns one row per cloud pair: (B, 2 * feat_widths[-1]).
     """
-    s_i = _as_points(s_i, "s_i")
-    s_o = _as_points(s_o, "s_o")
-    n_i = _group_size(s_i, size_i, "s_i")
-    n_o = _group_size(s_o, size_o, "s_o")
+    s_i = ad.as_points(s_i, "s_i")
+    s_o = ad.as_points(s_o, "s_o")
+    n_i = ad.block_size(s_i, size_i, "s_i")
+    n_o = ad.block_size(s_o, size_o, "s_o")
     if s_i.data.shape[0] // n_i != s_o.data.shape[0] // n_o:
         raise ValueError("siacon: the two sides hold different numbers of clouds")
-    g_i = ad.group_max(feature_net(s_i, params, "f1"), n_i)
-    g_o = ad.group_max(feature_net(s_o, params, "f1"), n_o)
+    g_i = ad.group_max(ad.mlp(s_i, params, "f1"), n_i)
+    g_o = ad.group_max(ad.mlp(s_o, params, "f1"), n_o)
     return ad.concat(g_i, g_o)
 
 
@@ -173,10 +132,10 @@ def siaatt(s, pair_feats: Tensor | None, params: ParamSet, size: int | None = No
     ``pair_feats`` is one row per cloud (from :func:`siacon`), or None
     for the layout without the pair encoder.
     """
-    s = _as_points(s, "s")
-    n = _group_size(s, size, "s")
+    s = ad.as_points(s, "s")
+    n = ad.block_size(s, size, "s")
     clouds = s.data.shape[0] // n
-    feats = feature_net(s, params, "f2")
+    feats = ad.mlp(s, params, "f2")
     d_feat = feats.data.shape[1]
 
     w0 = params["g.w0"]
@@ -197,13 +156,7 @@ def siaatt(s, pair_feats: Tensor | None, params: ParamSet, size: int | None = No
         per_cloud = pair_feats @ ad.gather_rows(w0, rows[3 + d_feat :])
         z = z + ad.repeat_rows(per_cloud, n)
     h = ad.relu(ad.add_row(z, params["g.b0"]))
-
-    layers = _layer_count(params, "g")
-    for k in range(1, layers):
-        h = ad.add_row(h @ params[f"g.w{k}"], params[f"g.b{k}"])
-        if k < layers - 1:
-            h = ad.relu(h)
-    return h
+    return ad.mlp(h, params, "g", relu_last=False, first=1)
 
 
 def normalize_weights(scores, sigma: float, size: int | None = None) -> Tensor:
@@ -223,7 +176,7 @@ def normalize_weights(scores, sigma: float, size: int | None = None) -> Tensor:
         t = ad.reshape(t, (t.data.shape[0], 1))
     if t.data.ndim != 2 or t.data.shape[1] != 1:
         raise ValueError(f"scores must be a vector or single-column matrix, got {t.data.shape}")
-    n = _group_size(t, size, "scores")
+    n = ad.block_size(t, size, "scores")
     gains = ad.exp(ad.neg(ad.square(t)))
     denom = ad.shift(ad.group_sum(gains, n), n * float(sigma))
     w = ad.div(ad.shift(gains, float(sigma)), ad.repeat_rows(denom, n))
@@ -235,14 +188,15 @@ class LcdResult:
     """Everything one weighted-loss forward produces.
 
     ``loss`` is the scalar training value (mean over cloud pairs).
-    Weights and matched distances are stacked per point; ``match_*`` hold
-    the stacked-row indices of each point's nearest neighbor on the other
+    Weights and matched distances are stacked per point; the weights are
+    None when no weighting parameters were given. ``match_*`` hold the
+    stacked-row indices of each point's nearest neighbor on the other
     side (constants for differentiation).
     """
 
     loss: Tensor
-    weights_in: Tensor
-    weights_out: Tensor
+    weights_in: Tensor | None
+    weights_out: Tensor | None
     dists_in: Tensor
     dists_out: Tensor
     match_in: np.ndarray
@@ -265,14 +219,14 @@ def _matched_dists(query: Tensor, ref: Tensor, idx: np.ndarray, squared: bool) -
     return d2 if squared else ad.sqrt(d2)
 
 
-def _per_cloud_mean(weighted: Tensor, n: int) -> Tensor:
-    return ad.scale(ad.group_sum(weighted, n), 1.0 / n)
+def _per_cloud_mean(w: Tensor | None, d: Tensor, n: int) -> Tensor:
+    return ad.scale(ad.group_sum(d if w is None else w * d, n), 1.0 / n)
 
 
 def lcd_forward(
     s_i,
     s_o,
-    params: ParamSet,
+    params: ParamSet | None,
     sigma: float,
     size_i: int | None = None,
     size_o: int | None = None,
@@ -286,25 +240,28 @@ def lcd_forward(
     Per cloud pair: half of (weighted mean of each input point's distance
     to its nearest output point) plus the mirror-image term, where the
     weighted mean is sum(W * d) / n with W from the weighting networks.
-    Uniform weights make this chamfer / n. The loss is the mean over
-    pairs. Distances are Euclidean (``squared=True`` uses squared ones).
+    Uniform weights make this chamfer / n. ``params=None`` skips the
+    weighting networks and takes every W as 1, which gives plain chamfer.
+    The loss is the mean over pairs. Distances are Euclidean
+    (``squared=True`` uses squared ones).
 
     Precomputed ``match_in`` / ``match_out`` stacked-row indices may be
     passed to skip the nearest-neighbor search when the caller knows the
     clouds are unchanged since the matching was computed.
     """
-    s_i = _as_points(s_i, "s_i")
-    s_o = _as_points(s_o, "s_o")
-    n_i = _group_size(s_i, size_i, "s_i")
-    n_o = _group_size(s_o, size_o, "s_o")
+    s_i = ad.as_points(s_i, "s_i")
+    s_o = ad.as_points(s_o, "s_o")
+    n_i = ad.block_size(s_i, size_i, "s_i")
+    n_o = ad.block_size(s_o, size_o, "s_o")
     pairs = s_i.data.shape[0] // n_i
     if s_o.data.shape[0] // n_o != pairs:
         raise ValueError("lcd_forward: the two sides hold different numbers of clouds")
 
-    use_pair_feats = "f1.w0" in params
-    pair_feats = siacon(s_i, s_o, params, n_i, n_o) if use_pair_feats else None
-    w_i = normalize_weights(siaatt(s_i, pair_feats, params, n_i), sigma, n_i)
-    w_o = normalize_weights(siaatt(s_o, pair_feats, params, n_o), sigma, n_o)
+    w_i = w_o = None
+    if params is not None:
+        pair_feats = siacon(s_i, s_o, params, n_i, n_o) if "f1.w0" in params else None
+        w_i = normalize_weights(siaatt(s_i, pair_feats, params, n_i), sigma, n_i)
+        w_o = normalize_weights(siaatt(s_o, pair_feats, params, n_o), sigma, n_o)
 
     if match_in is None:
         match_in = _matched_indices(s_i.data, s_o.data, n_i, n_o, backend)
@@ -313,7 +270,7 @@ def lcd_forward(
     d_i = _matched_dists(s_i, s_o, match_in, squared)
     d_o = _matched_dists(s_o, s_i, match_out, squared)
 
-    per_pair = ad.scale(_per_cloud_mean(w_i * d_i, n_i) + _per_cloud_mean(w_o * d_o, n_o), 0.5)
+    per_pair = ad.scale(_per_cloud_mean(w_i, d_i, n_i) + _per_cloud_mean(w_o, d_o, n_o), 0.5)
     loss = ad.scale(ad.sum_all(per_pair), 1.0 / pairs)
     return LcdResult(loss, w_i, w_o, d_i, d_o, match_in, match_out)
 

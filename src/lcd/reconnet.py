@@ -54,14 +54,8 @@ def init_recon_params(
         raise ValueError(f"n_points must be >= 1, got {n_points}")
 
     params = ParamSet()
-    sizes = (3,) + enc_widths
-    for k in range(len(sizes) - 1):
-        params.add(f"enc.w{k}", ad.glorot_uniform(rng, sizes[k], sizes[k + 1]))
-        params.add(f"enc.b{k}", np.zeros(sizes[k + 1]))
-    sizes = (enc_widths[-1],) + dec_widths + (3 * n_points,)
-    for k in range(len(sizes) - 1):
-        params.add(f"dec.w{k}", ad.glorot_uniform(rng, sizes[k], sizes[k + 1]))
-        params.add(f"dec.b{k}", np.zeros(sizes[k + 1]))
+    ad.add_mlp(params, rng, "enc", (3,) + enc_widths)
+    ad.add_mlp(params, rng, "dec", (enc_widths[-1],) + dec_widths + (3 * n_points,))
     return params
 
 
@@ -109,37 +103,17 @@ def params_from_arrays(values) -> ParamSet:
     return params
 
 
-def _layer_count(params: ParamSet, prefix: str) -> int:
-    n = 0
-    while f"{prefix}.w{n}" in params:
-        n += 1
-    return n
-
-
 def output_points(params: ParamSet) -> int:
     """Number of points the decoder emits per cloud."""
-    last = _layer_count(params, "dec") - 1
+    last = ad.layer_count(params, "dec") - 1
     return params[f"dec.b{last}"].data.shape[0] // 3
-
-
-def _as_points(s) -> Tensor:
-    t = s if isinstance(s, Tensor) else ad.tensor(np.asarray(s, dtype=np.float64))
-    if t.data.ndim != 2 or t.data.shape[1] != 3 or t.data.shape[0] < 1:
-        raise ValueError(f"expected a nonempty (n, 3) cloud, got shape {t.data.shape}")
-    return t
 
 
 def encode(cloud, params: ParamSet, size: int | None = None) -> Tensor:
     """Per-point MLP (relu throughout) max-pooled per cloud: (B, latent)."""
-    t = _as_points(cloud)
-    rows = t.data.shape[0]
-    n = rows if size is None else int(size)
-    if n < 1 or rows % n != 0:
-        raise ValueError(f"encode: {rows} rows do not split into blocks of {n}")
-    h = t
-    for k in range(_layer_count(params, "enc")):
-        h = ad.relu(ad.add_row(h @ params[f"enc.w{k}"], params[f"enc.b{k}"]))
-    return ad.group_max(h, n)
+    t = ad.as_points(cloud, "encode")
+    n = ad.block_size(t, size, "encode")
+    return ad.group_max(ad.mlp(t, params, "enc"), n)
 
 
 def decode(latent, params: ParamSet) -> Tensor:
@@ -150,12 +124,7 @@ def decode(latent, params: ParamSet) -> Tensor:
     want = params["dec.w0"].data.shape[0]
     if t.data.ndim != 2 or t.data.shape[1] != want:
         raise ValueError(f"decode: latent width {t.data.shape} does not match configured {want}")
-    layers = _layer_count(params, "dec")
-    h = t
-    for k in range(layers):
-        h = ad.add_row(h @ params[f"dec.w{k}"], params[f"dec.b{k}"])
-        if k < layers - 1:
-            h = ad.relu(h)
+    h = ad.mlp(t, params, "dec", relu_last=False)
     batch = h.data.shape[0]
     return ad.reshape(h, (batch * (h.data.shape[1] // 3), 3))
 

@@ -7,8 +7,8 @@ One iteration runs up to three phases:
    networks and update only their parameters against the negative-log
    objective (skipped entirely in plain-chamfer mode);
 3. on another fresh tape, rerun reconstruction and the weighted loss
-   with the just-updated weighting, and update only the reconstruction
-   parameters.
+   with the just-updated weighting (unweighted, i.e. plain chamfer, in
+   plain-chamfer mode), and update only the reconstruction parameters.
 
 The output clouds in phase 3 are bit-identical to phase 1 (same
 parameters), so the nearest-neighbor matchings from phase 2 are reused.
@@ -185,20 +185,6 @@ def _stack(batch) -> tuple[np.ndarray, int]:
     return np.concatenate(clouds, axis=0), n
 
 
-def _cd_objective(s_i: ad.Tensor, s_o: ad.Tensor, n_i: int, n_o: int, config: TrainConfig):
-    """Plain symmetric mean matched distance over the batch, on tape."""
-    match_in = lcdloss._matched_indices(s_i.data, s_o.data, n_i, n_o, config.backend)
-    match_out = lcdloss._matched_indices(s_o.data, s_i.data, n_o, n_i, config.backend)
-    d_i = lcdloss._matched_dists(s_i, s_o, match_in, config.squared)
-    d_o = lcdloss._matched_dists(s_o, s_i, match_out, config.squared)
-    per_pair = ad.scale(
-        ad.scale(ad.group_sum(d_i, n_i), 1.0 / n_i) + ad.scale(ad.group_sum(d_o, n_o), 1.0 / n_o),
-        0.5,
-    )
-    pairs = s_i.data.shape[0] // n_i
-    return ad.scale(ad.sum_all(per_pair), 1.0 / pairs)
-
-
 def train_step(
     batch: Sequence,
     lcd_params: ParamSet | None,
@@ -254,22 +240,18 @@ def train_step(
         s_o = reconnet.reconstruct(s_i, recon_params, n_i)
         if not np.isfinite(s_o.data).all():
             raise TrainingDiverged(iteration, "reconstruction output", float("nan"), batch, _param_norms(param_ctx))
-        if config.loss == "lcd":
-            res3 = lcdloss.lcd_forward(
-                s_i,
-                s_o,
-                lcd_params,
-                config.sigma,
-                n_i,
-                n_o,
-                config.squared,
-                config.backend,
-                match_in=match_in,
-                match_out=match_out,
-            )
-            recon_loss = res3.loss
-        else:
-            recon_loss = _cd_objective(s_i, s_o, n_i, n_o, config)
+        recon_loss = lcdloss.lcd_forward(
+            s_i,
+            s_o,
+            lcd_params if config.loss == "lcd" else None,
+            config.sigma,
+            n_i,
+            n_o,
+            config.squared,
+            config.backend,
+            match_in=match_in,
+            match_out=match_out,
+        ).loss
     value = recon_loss.item()
     _check_finite(value, iteration, "reconstruction", batch, param_ctx)
     if config.loss == "cd":
@@ -550,8 +532,8 @@ def ablate(config: TrainConfig, variants: Sequence[str], n_seeds: int = 3) -> li
 def sweep(config: TrainConfig, param: str, values: Sequence[float], n_seeds: int = 1) -> list[SummaryRow]:
     """Train the full configuration across values of one hyperparameter.
 
-    ``param`` is ``sigma`` or ``lr-lcd``. Rows are keyed by value; runs
-    write to ``<out>/sweep_<param>_<value>_seed<k>/`` plus a summary.
+    ``param`` is ``sigma`` or ``lr-lcd`` (field ``lr_lcd``). Rows are keyed
+    by value; runs write to ``<out>/sweep_<field>_<value>_seed<k>/`` plus a summary.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r} (expected one of {sorted(set(SWEEP_PARAMS))})")

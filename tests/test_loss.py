@@ -240,6 +240,18 @@ def test_lcd_forward_squared_mode_uses_squared_distances():
     assert lcd_forward(tensor(a), tensor(b), p, sigma=0.01).loss.item() == 0.25
 
 
+@pytest.mark.parametrize("squared", [False, True])
+def test_lcd_forward_without_params_is_mean_chamfer(squared):
+    rng = np.random.default_rng(17)
+    n, pairs = 11, 4
+    a = [rng.normal(size=(n, 3)) for _ in range(pairs)]
+    b = [rng.normal(size=(n, 3)) for _ in range(pairs)]
+    res = lcd_forward(np.concatenate(a), np.concatenate(b), None, 0.01, n, n, squared=squared)
+    want = np.mean([chamfer(x, y, squared=squared) for x, y in zip(a, b)])
+    assert abs(res.loss.item() - want) < 1e-12
+    assert res.weights_in is None and res.weights_out is None
+
+
 def test_lcd_forward_without_pair_features():
     rng = np.random.default_rng(21)
     p = init_lcd_params(seed=22, feat_widths=(6,), head_widths=(4,), use_siacon=False)
