@@ -4,10 +4,11 @@ Define-by-run: operations execute eagerly on numpy arrays and, when a
 :class:`Tape` is active, append one entry per primitive so that
 :func:`backward` can run the chain rule in reverse over the recording.
 The primitive set is deliberately small: elementwise arithmetic and
-transcendentals, matrix multiply, feature-axis concatenation, grouped
-max/sum reductions over point blocks, row gathering, and broadcasts:
-exactly what per-point MLPs with symmetric pooling and weighted-distance
-reductions need.
+transcendentals, matrix multiply, a fused dense layer (``x @ w + b``
+with optional relu, one tape entry, the same sums as the three separate
+ops), feature-axis concatenation, grouped max/sum reductions over point
+blocks, row gathering, and broadcasts: exactly what per-point MLPs with
+symmetric pooling and weighted-distance reductions need.
 
 Conventions baked in:
 
@@ -52,6 +53,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "dense",
     "relu",
     "exp",
     "log",
@@ -157,6 +159,12 @@ def _check_matmul(xs, attrs):
         raise ValueError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
 
 
+def _check_dense(xs, attrs):
+    x, w, b = xs
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
+        raise ValueError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+
+
 def _check_add_row(xs, attrs):
     a, v = xs
     if a.ndim != 2 or v.ndim != 1 or v.shape[0] != a.shape[1]:
@@ -259,6 +267,26 @@ _defop(
     lambda xs, at: xs[0] @ xs[1],
     lambda xs, out, g, at, want: [g @ xs[1].T if want[0] else None, xs[0].T @ g if want[1] else None],
 )
+
+
+def _dense_forward(xs, attrs):
+    # in place on the product: the same sums as matmul, add_row and relu,
+    # without their two intermediate arrays
+    y = xs[0] @ xs[1]
+    y += xs[2]
+    if attrs["relu"]:
+        np.maximum(y, 0.0, out=y)
+    return y
+
+
+def _dense_backward(xs, out, g, attrs, want):
+    x, w, _ = xs
+    if attrs["relu"]:
+        g = g * (out > 0.0)
+    return [g @ w.T if want[0] else None, x.T @ g if want[1] else None, g.sum(axis=0) if want[2] else None]
+
+
+_defop("dense", _check_dense, _dense_forward, _dense_backward)
 _defop("neg", _want_any, lambda xs, at: -xs[0], lambda xs, out, g, at, want: [-g])
 _defop(
     "relu",
@@ -484,6 +512,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record("matmul", a, b)
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
+    """One layer, ``x @ w + b`` then an optional relu, as a single tape entry."""
+    return record("dense", x, w, b, relu=bool(relu))
+
+
 def relu(a: Tensor) -> Tensor:
     return record("relu", a)
 
@@ -593,8 +626,8 @@ def backward(
     ``params`` is given, the returned mapping covers every parameter name,
     with zero gradients for parameters the root does not depend on, and
     gradient propagation is pruned to subgraphs that can reach a requested
-    parameter (so ``wrt`` is only meaningful for those). Without it, every
-    recorded tensor's gradient is computed.
+    parameter, and ``wrt`` covers only those parameters. Without it, every
+    recorded tensor's gradient is computed and kept.
     """
     root_uid = tape.uid_of(root)
     if root_uid is None:
@@ -622,7 +655,9 @@ def backward(
 
     grads: dict[int, np.ndarray] = {root_uid: np.ones_like(root.data)}
     for entry in reversed(tape.entries):
-        g = grads.get(entry.output)
+        # a pruned pass returns parameter gradients only, so an output's
+        # gradient is dropped once its entry has passed it on
+        g = grads.get(entry.output) if useful is None else grads.pop(entry.output, None)
         if g is None:
             continue
         want = [useful is None or u in useful for u in entry.inputs]
@@ -768,10 +803,7 @@ def mlp(x: Tensor, params: ParamSet, prefix: str, relu_last: bool = True, first:
     then relu, except after the last layer unless ``relu_last``."""
     last = layer_count(params, prefix) - 1
     for k in range(first, last + 1):
-        w, b = params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]
-        # one expression per layer, as in the encoder loop this replaced: with
-        # add_row and relu split, eval-2048's peak RSS read 20 MB higher
-        x = relu(add_row(x @ w, b)) if relu_last or k < last else add_row(x @ w, b)
+        x = dense(x, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"], relu_last or k < last)
     return x
 
 

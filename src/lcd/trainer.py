@@ -21,6 +21,7 @@ separate timing file unless explicitly opted into the CSV.
 
 from __future__ import annotations
 
+import ctypes
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -234,6 +235,8 @@ def train_step(
         grads = backward(tape, objective, lcd_params)
         adam_update(lcd_params, grads, config.lr_lcd)
         match_in, match_out = res.match_in, res.match_out
+        # grads holds the phase-2 tape: free its arrays before phase 3 builds its own
+        del tape, grads, res, objective
 
     with Tape() as tape:
         s_i = ad.tensor(stacked)
@@ -359,6 +362,21 @@ def _load_run_data(config: TrainConfig) -> Dataset:
     return gen_shapes(config.families, config.count, config.points, config.noise_std, config.seed)
 
 
+def _keep_freed_heap() -> None:
+    """Make the C allocator keep freed memory for reuse, process-wide.
+
+    Every step drops its tapes; by default glibc returns that memory to the
+    kernel and the next step faults it back in, a fifth of a default lcd
+    step (28k minor faults, 2-core x86 Linux). No-op without ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB use the heap
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: trim only past 1 GiB free
+
+
 def run(config: TrainConfig) -> RunResult:
     """Train per the config; write CSV, config echo, checkpoints, timing.
 
@@ -367,6 +385,7 @@ def run(config: TrainConfig) -> RunResult:
     dump if a loss goes non-finite.
     """
     config.validate()
+    _keep_freed_heap()
     data = _load_run_data(config)
     train_set, eval_set = train_eval_split(data, config.eval_fraction)
 

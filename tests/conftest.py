@@ -23,8 +23,18 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def relu_margin(tape):
-    """Smallest |preactivation| feeding any relu on the tape."""
-    vals = [np.abs(tape._tensors[e.inputs[0]].data).min() for e in tape.entries if e.op == "relu"]
+    """Smallest |preactivation| feeding any relu on the tape.
+
+    A fused dense layer keeps only its output, so its preactivation
+    ``x @ w + b`` is recomputed from the recorded inputs.
+    """
+    vals = []
+    for e in tape.entries:
+        xs = [tape._tensors[uid].data for uid in e.inputs]
+        if e.op == "relu":
+            vals.append(np.abs(xs[0]).min())
+        elif e.op == "dense" and e.attrs["relu"]:
+            vals.append(np.abs(xs[0] @ xs[1] + xs[2]).min())
     return min(vals) if vals else np.inf
 
 

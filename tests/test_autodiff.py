@@ -217,6 +217,67 @@ def test_pruned_backward_matches_full_for_each_two_input_op(op, requested):
     assert np.any(pruned["p"].data != 0.0)
 
 
+@pytest.mark.parametrize("relu", [True, False])
+def test_dense_matches_matmul_add_row_relu_bit_for_bit(relu):
+    rng = np.random.default_rng(11)
+    x = ad.tensor(rng.normal(size=(6, 4)))
+    w = ad.tensor(rng.normal(size=(4, 5)))
+    b = ad.tensor(rng.normal(size=5))
+    g_out = ad.tensor(rng.normal(size=(6, 5)))
+
+    def loss(layer):
+        return ad.sum_all(layer * g_out)
+
+    with Tape() as tape:
+        fused = ad.dense(x, w, b, relu)
+        out = loss(fused)
+    fused_grads = backward(tape, out)
+    with Tape() as tape:
+        z = ad.add_row(x @ w, b)
+        chain = ad.relu(z) if relu else z
+        out = loss(chain)
+    chain_grads = backward(tape, out)
+
+    assert np.array_equal(fused.data, chain.data)
+    assert relu == bool(np.any(fused.data == 0.0))
+    for t in (x, w, b):
+        assert np.array_equal(fused_grads.wrt(t), chain_grads.wrt(t))
+    # one requested input at a time: the rule skips the other two
+    for requested in range(3):
+        inputs = [x, w, b]
+        params = ParamSet()
+        inputs[requested] = params.add("p", inputs[requested].data)
+        with Tape() as tape:
+            out = loss(ad.dense(*inputs, relu))
+        pruned = backward(tape, out, params)
+        assert np.array_equal(pruned["p"].data, chain_grads.wrt((x, w, b)[requested]))
+
+
+def test_dense_rejects_mismatched_shapes():
+    x = ad.tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        ad.dense(x, ad.tensor(np.ones((2, 4))), ad.tensor(np.ones(4)))
+    with pytest.raises(ValueError):
+        ad.dense(x, ad.tensor(np.ones((3, 4))), ad.tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        ad.dense(x, ad.tensor(np.ones((3, 4))), ad.tensor(np.ones((1, 4))))
+
+
+def test_pruned_backward_keeps_only_parameter_gradients():
+    params = ParamSet()
+    w = params.add("w", np.full((3, 2), 0.5))
+    x = ad.tensor(np.ones((4, 3)))
+    with Tape() as tape:
+        h = x @ w
+        out = ad.sum_all(ad.square(h))
+    grads = backward(tape, out, params)
+    assert np.all(grads["w"].data == 12.0)
+    assert np.array_equal(grads.wrt(w), grads["w"].data)
+    # intermediate gradients are dropped once passed on
+    assert np.all(grads.wrt(h) == 0.0)
+    assert np.all(backward(tape, out).wrt(h) == 3.0)
+
+
 def test_nested_tapes_record_to_innermost():
     x = ad.tensor(np.ones(3))
     with Tape() as outer:
