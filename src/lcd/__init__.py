@@ -38,7 +38,7 @@ from .dataio import (
     save_xyz,
     train_eval_split,
 )
-from .geometry import KdTree, Matching, chamfer, fps, hausdorff, mcd, nn_match
+from .geometry import KdTree, Matching, chamfer, fps, hausdorff, mcd, nn_match, pair_metrics
 from .lcdloss import (
     LcdResult,
     adversarial_loss,
@@ -80,6 +80,7 @@ __all__ = [
     "hausdorff",
     "fps",
     "mcd",
+    "pair_metrics",
     "LcdResult",
     "init_lcd_params",
     "siacon",

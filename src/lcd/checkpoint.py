@@ -15,6 +15,7 @@ sets produce identical files.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from typing import Mapping
 
@@ -55,6 +56,29 @@ def save_checkpoint(path, source: ParamSet | Mapping[str, np.ndarray]) -> Path:
     return path
 
 
+def _parse_block(lines: list[str], need: int) -> np.ndarray | None:
+    """A tensor's value lines in one NumPy call; None unless that is exact.
+
+    ``np.fromstring`` rounds correctly, as ``float()`` does, but it also
+    reads two things ``float()`` rejects: a blank string (as -1.0) and
+    ``nan(...)``. Blank blocks and any NaN go to the line-by-line parse,
+    as do conversion errors and wrong value counts, so the values and the
+    error messages are those of that parse.
+    """
+    text = " ".join(lines)
+    if text.isspace():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(text, sep=" ")
+        except (ValueError, Warning):
+            return None
+    if values.size != need or np.isnan(values).any():
+        return None
+    return values
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Parse a checkpoint into name -> array, validating the format."""
     path = Path(path)
@@ -83,6 +107,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if any(d < 0 for d in shape):
             raise CheckpointError(f"{path}:{i}: negative dim in {dim_field!r} for tensor {name!r}")
         need = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n_rows = 1 if len(shape) < 2 else int(np.prod(shape[:-1], dtype=np.int64))
+        fast = _parse_block(lines[i : i + n_rows], need) if i + n_rows <= len(lines) else None
+        if fast is not None:
+            i += n_rows
+            out[name] = fast.reshape(shape)
+            continue
         values: list[float] = []
         while len(values) < need:
             if i >= len(lines):

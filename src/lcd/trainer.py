@@ -35,7 +35,7 @@ from . import lcdloss, reconnet
 from .autodiff import ParamSet, Tape, adam_update, backward
 from .checkpoint import save_checkpoint
 from .dataio import FAMILIES, Dataset, gen_shapes, load_dataset, train_eval_split
-from .geometry import chamfer, hausdorff, mcd
+from .geometry import pair_metrics
 
 __all__ = [
     "CSV_HEADER",
@@ -267,21 +267,29 @@ def train_step(
 
 
 def evaluate(recon_params: ParamSet, dataset: Dataset, backend: str = "brute") -> EvalResult:
-    """Reconstruct every cloud and average cd / mcd / hd against the inputs."""
+    """Reconstruct every cloud and average cd / mcd / hd against the inputs.
+
+    Raises ValueError naming the first cloud whose reconstruction is not
+    finite, before any matching.
+    """
     if len(dataset) == 0:
         raise ValueError("evaluation dataset is empty")
     stacked, n = _stack(dataset.clouds)
     out = reconnet.reconstruct(ad.tensor(stacked), recon_params, n).data
     n_o = reconnet.output_points(recon_params)
+    finite = np.isfinite(out.reshape(len(dataset), n_o * 3)).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"evaluate: reconstruction of held-out cloud {k} ({dataset.labels[k]}) has non-finite coordinates"
+        )
 
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     for k, label in enumerate(dataset.labels):
         rec = out[k * n_o : (k + 1) * n_o]
         src = dataset.clouds[k]
-        vals = np.array(
-            [chamfer(src, rec, backend), mcd(src, rec, backend=backend), hausdorff(src, rec, backend)]
-        )
+        vals = np.array(pair_metrics(src, rec, backend))
         sums[label] = sums.get(label, 0.0) + vals
         counts[label] = counts.get(label, 0) + 1
     per_family = {

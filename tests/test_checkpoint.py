@@ -122,3 +122,49 @@ def test_scalar_and_vector_tensors_round_trip(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_checkpoint(tmp_path / "nope.txt")
+
+
+def test_round_trip_is_bit_exact_across_the_float64_range(tmp_path):
+    rng = np.random.default_rng(1)
+    wide = rng.normal(size=(64, 97)) * 10.0 ** rng.integers(-300, 300, size=(64, 97))
+    edge = np.array([0.0, -0.0, 5e-324, -2.5e-308, np.finfo(np.float64).max, np.inf, -np.inf, 0.1, 1 / 3])
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, {"wide": wide, "edge": edge, "one": np.array([[7.0]])})
+    values = load_checkpoint(path)
+    for name, want in (("wide", wide), ("edge", edge)):
+        assert values[name].shape == want.shape
+        assert np.array_equal(values[name].view(np.int64), want.view(np.int64)), name
+    assert values["one"].tolist() == [[7.0]]
+    path.write_text("LCDCKPT 1\ntensor w 2,2\n1\n2 3\n4\ntensor v 2\nnan -inf\n")
+    values = load_checkpoint(path)  # rows may split across lines; nan parses
+    assert values["w"].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert np.isnan(values["v"][0]) and values["v"][1] == -np.inf
+
+
+# every malformed layout with the exact message the line-by-line parser gives
+MALFORMED = [
+    ("NOTACKPT 9\n", ": bad magic header 'NOTACKPT 9' (expected 'LCDCKPT 1')"),
+    ("", ": bad magic header '<empty file>' (expected 'LCDCKPT 1')"),
+    ("LCDCKPT 1\n", ": checkpoint holds no tensors"),
+    ("LCDCKPT 1\ntensor w\n", ":2: expected 'tensor <name> <dims>', got 'tensor w'"),
+    ("LCDCKPT 1\ntensor w 2,x\n1 2\n", ":2: bad dims '2,x' for tensor 'w'"),
+    ("LCDCKPT 1\ntensor w -2\n1 2\n", ":2: negative dim in '-2' for tensor 'w'"),
+    ("LCDCKPT 1\ntensor w scalar\n1.0\ntensor w scalar\n2.0\n", ":4: duplicate tensor 'w'"),
+    ("LCDCKPT 1\ntensor w 2\n1.0 junk\n", ":3: non-numeric value in tensor 'w'"),
+    ("LCDCKPT 1\ntensor w 2\n1 nan(7)\n", ":3: non-numeric value in tensor 'w'"),
+    ("LCDCKPT 1\ntensor w 2\n1.0 2.0 3.0\n", ": tensor 'w' holds 3 values, shape needs 2"),
+    ("LCDCKPT 1\ntensor w 2,2\n1 2\n", ": tensor 'w' ends early (2 of 4 values)"),
+    ("LCDCKPT 1\ntensor w 2,2\n1 2\ntensor v scalar\n1\n", ":4: tensor 'w' ends early (2 of 4 values)"),
+    ("LCDCKPT 1\ntensor w scalar\n \n", ": tensor 'w' ends early (0 of 1 values)"),
+    ("LCDCKPT 1\ntensor w 1,2\n1 2\n3 4\n", ":4: expected 'tensor <name> <dims>', got '3 4'"),
+    ("LCDCKPT 1\ntensor w 2\n1_0 2\ntensor\n", ":4: expected 'tensor <name> <dims>', got 'tensor'"),
+]
+
+
+@pytest.mark.parametrize("text, suffix", MALFORMED)
+def test_malformed_files_name_file_and_line(tmp_path, text, suffix):
+    path = tmp_path / "ckpt.txt"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}{suffix}"

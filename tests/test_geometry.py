@@ -1,5 +1,7 @@
 """Nearest-neighbor matching, set distances, and farthest point sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ def test_kdtree_query_validates_input():
     tree = KdTree(np.zeros((5, 3)))
     with pytest.raises(ValueError):
         tree.query(np.zeros((2, 2)))
+
+
+def test_nn_match_memory_is_bounded_at_4096_points():
+    # an (n, n, 3) difference array alone would be 4096**2 * 24 B = 402 MB
+    rng = np.random.default_rng(2)
+    q = rng.normal(size=(4096, 3))
+    r = rng.normal(size=(4096, 3))
+    tracemalloc.start()
+    try:
+        m = nn_match(q, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert m.indices.shape == (4096,)
 
 
 def test_nn_match_rejects_unknown_backend():

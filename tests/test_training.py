@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from lcd import autodiff as ad
 from lcd import trainer
 from lcd.dataio import gen_shapes
+from lcd.geometry import chamfer, hausdorff, mcd
 from lcd.lcdloss import init_lcd_params
-from lcd.reconnet import init_recon_params
+from lcd.reconnet import init_recon_params, reconstruct
 from lcd.trainer import (
     ABLATION_VARIANTS,
     CSV_HEADER,
@@ -159,6 +161,25 @@ def test_evaluate_per_family_mean_matches_overall():
     assert ev.cd <= ev.hd
     with pytest.raises(ValueError):
         evaluate(recon, gen_shapes(("sphere",), count=2, points=16, seed=0).__class__([], []))
+
+
+def test_evaluate_values_equal_the_separate_metric_calls():
+    recon, _ = _nets(points=16)
+    ds = gen_shapes(("sphere", "cube"), count=2, points=16, seed=4)
+    ev = evaluate(recon, ds)
+    out = reconstruct(ad.tensor(np.concatenate(ds.clouds)), recon, 16).data
+    for k, label in enumerate(ds.labels):
+        src, rec = ds.clouds[k], out[k * 16 : (k + 1) * 16]
+        fam = ev.per_family[label]  # one cloud per family: its own values
+        assert (fam.cd, fam.mcd, fam.hd) == (chamfer(src, rec), mcd(src, rec), hausdorff(src, rec))
+
+
+def test_evaluate_names_the_cloud_with_nonfinite_reconstruction():
+    recon, _ = _nets(points=16)
+    recon["dec.b1"].data[4] = np.nan
+    ds = gen_shapes(("cube", "sphere"), count=2, points=16, seed=4)
+    with pytest.raises(ValueError, match=r"held-out cloud 0 \(cube\) has non-finite coordinates"):
+        evaluate(recon, ds)
 
 
 def test_run_records_and_files(tmp_path):

@@ -3,10 +3,12 @@
 #
 #   tools/bytecheck.sh <rev> [iters]
 #
-# Both trees run `lcd gen-data`, then a short fixed-seed `lcd train` for each
-# loss configuration below and `lcd eval` of its checkpoint on the generated
-# data. The script then compares, byte for byte, every metrics.csv, ckpt_*.txt,
-# eval.csv and generated data file of <rev> with the working tree's. It exits
+# Both trees run `lcd gen-data` at 256 and at 2048 points, then a short
+# fixed-seed `lcd train` for each loss configuration below and `lcd eval` of its
+# checkpoint on both data sets. The 2048-point eval covers large-n matching and
+# clouds of unequal size (2048 inputs against 256 reconstructed points). The
+# script then compares, byte for byte, every metrics.csv, ckpt_*.txt, eval.csv
+# and generated data file of <rev> with the working tree's. It exits
 # 1 on the first difference or missing file and 0 when all files match.
 # Outputs and the exported copy of <rev> go to a temporary directory that is
 # removed on exit. Set PYTHON to choose the interpreter (default python3).
@@ -29,11 +31,13 @@ configs=("lcd" "lcd --no-siacon" "lcd --no-log" "lcd --squared" "cd" "cd --squar
 run_tree() { # run_tree <tree> <out>
     local lcd=(env "PYTHONPATH=$1/src" "$python" -m lcd.cli) out=$2 cfg name
     "${lcd[@]}" gen-data --count 8 --points 256 --seed 3 --out "$out/data" >/dev/null
+    "${lcd[@]}" gen-data --count 8 --points 2048 --seed 3 --out "$out/data_2048" >/dev/null
     for cfg in "${configs[@]}"; do
         name=${cfg// --/_}
         # shellcheck disable=SC2086  # cfg splits into --loss value and flags
         "${lcd[@]}" train --loss $cfg --iters "$iters" --eval-interval 5 --seed 1 --out "$out/$name" >/dev/null
         "${lcd[@]}" eval --ckpt-recon "$out/$name/ckpt_recon.txt" --data "$out/data" --out "$out/$name" >/dev/null
+        "${lcd[@]}" eval --ckpt-recon "$out/$name/ckpt_recon.txt" --data "$out/data_2048" --out "$out/$name/eval_2048" >/dev/null
     done
 }
 
@@ -50,5 +54,5 @@ while IFS= read -r -d '' file; do
         exit 1
     fi
     checked=$((checked + 1))
-done < <(find "$tmp/base_out" -type f \( -name metrics.csv -o -name 'ckpt_*.txt' -o -name eval.csv -o -path '*/data/*' \) -print0 | sort -z)
+done < <(find "$tmp/base_out" -type f \( -name metrics.csv -o -name 'ckpt_*.txt' -o -name eval.csv -o -path "$tmp/base_out/data*/*" \) -print0 | sort -z)
 echo "bytecheck: PASS, $checked files byte-identical to $rev"
