@@ -117,7 +117,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         while len(values) < need:
             if i >= len(lines):
                 raise CheckpointError(
-                    f"{path}: tensor {name!r} ends early ({len(values)} of {need} values)"
+                    f"{path}:{i}: tensor {name!r} ends early ({len(values)} of {need} values)"
                 )
             row = lines[i].strip()
             i += 1
@@ -130,7 +130,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             except ValueError:
                 raise CheckpointError(f"{path}:{i}: non-numeric value in tensor {name!r}") from None
         if len(values) != need:
-            raise CheckpointError(f"{path}: tensor {name!r} holds {len(values)} values, shape needs {need}")
+            raise CheckpointError(f"{path}:{i}: tensor {name!r} holds {len(values)} values, shape needs {need}")
         out[name] = np.array(values).reshape(shape)
     if not out:
         raise CheckpointError(f"{path}: checkpoint holds no tensors")

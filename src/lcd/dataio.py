@@ -224,8 +224,9 @@ def save_xyz(path, points) -> None:
 def load_xyz(path) -> np.ndarray:
     """Parse a cloud file, reporting the line number of any bad row."""
     path = Path(path)
+    lines = path.read_text().splitlines()
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -238,7 +239,13 @@ def load_xyz(path) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: non-numeric field in {stripped!r}") from None
     if not rows:
         raise ValueError(f"{path}: no points found")
-    return validate_cloud(np.array(rows), str(path))
+    points = np.array(rows)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():  # float() reads nan, inf and -inf
+        nonblank = [(lineno, line.strip()) for lineno, line in enumerate(lines, start=1) if line.strip()]
+        lineno, line = nonblank[finite.argmin()]
+        raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+    return validate_cloud(points, str(path))
 
 
 def save_dataset(directory, dataset: Dataset) -> Path:

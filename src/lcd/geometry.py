@@ -270,6 +270,14 @@ def fps(points, k: int, seed_index: int = 0) -> np.ndarray:
     squared distance to the chosen set (ties toward the lowest index).
     Deterministic for fixed inputs, and greedy: ``fps(p, k)[:j]`` equals
     ``fps(p, j)`` for every j <= k.
+
+    The loop works on three contiguous coordinate arrays x, y, z with
+    preallocated length-n buffers, so each round is ten whole-array ufunc
+    calls; an (n, 3) row layout spends most of a round in length-3 inner
+    loops. Squared distances are summed as (dx^2 + dz^2) + dy^2, the order
+    in which NumPy's ``einsum("ij,ij->i", d, d)`` sums a 3-wide row, so
+    they equal the explicit form used by :func:`nn_match` to the bit, and
+    the chosen indices do not depend on the layout.
     """
     pts = validate_cloud(points, "points")
     n = pts.shape[0]
@@ -277,15 +285,30 @@ def fps(points, k: int, seed_index: int = 0) -> np.ndarray:
         raise ValueError(f"fps: k must be in [1, {n}], got {k}")
     if not 0 <= seed_index < n:
         raise ValueError(f"fps: seed index {seed_index} out of range for {n} points")
+    x, y, z = (np.ascontiguousarray(c) for c in pts.T)
+    dx, dy, dz = np.empty(n), np.empty(n), np.empty(n)
+
+    def sq_dists_to(i: int, out: np.ndarray) -> None:
+        np.subtract(x, x[i], out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(y, y[i], out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.subtract(z, z[i], out=dz)
+        np.multiply(dz, dz, out=dz)
+        np.add(dx, dz, out=dx)
+        np.add(dx, dy, out=out)
+
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = seed_index
-    diff = pts - pts[seed_index]
-    min_d2 = np.einsum("ij,ij->i", diff, diff)
-    for t in range(1, k):
-        nxt = int(min_d2.argmax())  # first maximum == lowest index on ties
-        chosen[t] = nxt
-        diff = pts - pts[nxt]
-        np.minimum(min_d2, np.einsum("ij,ij->i", diff, diff), out=min_d2)
+    min_d2 = np.empty(n)
+    # differences and squares that overflow become inf without a warning, as in einsum
+    with np.errstate(over="ignore"):
+        sq_dists_to(seed_index, min_d2)
+        for t in range(1, k):
+            nxt = int(min_d2.argmax())  # first maximum == lowest index on ties
+            chosen[t] = nxt
+            sq_dists_to(nxt, dx)
+            np.minimum(min_d2, dx, out=min_d2)
     return chosen
 
 

@@ -390,8 +390,10 @@ def run(config: TrainConfig) -> RunResult:
 
     Deterministic per seed: the metrics CSV is byte-identical across
     reruns. Raises :class:`TrainingDiverged` after writing a diagnostic
-    dump if a loss goes non-finite.
+    dump if a loss goes non-finite. ``wall_seconds`` covers the whole call,
+    up to the moment ``timing.txt`` is written.
     """
+    t0 = time.perf_counter()
     config.validate()
     _keep_freed_heap()
     data = _load_run_data(config)
@@ -420,7 +422,6 @@ def run(config: TrainConfig) -> RunResult:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    t0 = time.perf_counter()
     records: list[MetricsRecord] = []
     ev = evaluate(recon_params, eval_set, config.backend)
     records.append(MetricsRecord(0, cd=ev.cd, mcd=ev.mcd, hd=ev.hd))
@@ -440,9 +441,10 @@ def run(config: TrainConfig) -> RunResult:
         if out_dir is not None:
             _dump_divergence(out_dir / "diverged.txt", err)
         raise
-    wall = time.perf_counter() - t0
 
-    result = RunResult(config, records, wall, recon_params=recon_params, lcd_params=lcd_params)
+    result = RunResult(
+        config, records, time.perf_counter() - t0, recon_params=recon_params, lcd_params=lcd_params
+    )
     if out_dir is not None:
         result.csv_path = out_dir / "metrics.csv"
         lines = [CSV_HEADER] + [_csv_line(r, config.timing_csv) for r in records]
@@ -452,6 +454,7 @@ def run(config: TrainConfig) -> RunResult:
         result.ckpt_recon_path = save_checkpoint(out_dir / "ckpt_recon.txt", recon_params)
         if lcd_params is not None:
             result.ckpt_lcd_path = save_checkpoint(out_dir / "ckpt_lcd.txt", lcd_params)
+        result.wall_seconds = wall = time.perf_counter() - t0
         (out_dir / "timing.txt").write_text(
             f"iterations = {config.iters}\n"
             f"wall_seconds = {wall:.3f}\n"

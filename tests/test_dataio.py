@@ -156,6 +156,15 @@ def test_load_xyz_reports_bad_lines(tmp_path):
         load_xyz(tmp_path / "missing.xyz")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_xyz_names_the_line_of_a_non_finite_row(tmp_path, value):
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"0 0 0\n\n1 2 3\n1 {value} 2\n4 5 6\n")
+    with pytest.raises(ValueError) as info:
+        load_xyz(path)
+    assert str(info.value) == f"{path}:4: non-finite value in '1 {value} 2'"
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     ds = gen_shapes(("sphere", "torus"), count=4, points=16, seed=7)
     out = tmp_path / "data"

@@ -1,8 +1,9 @@
-"""Property tests: the matcher, fps prefixes and the one-matching pair metrics.
+"""Property tests: the matcher, fps and the one-matching pair metrics.
 
 The oracles here are the plain definitions: an explicit all-pairs
-difference scan, the kd-tree, one fps call per scale, and the public
-metric functions called one by one. Equality is to the bit.
+difference scan, the kd-tree, an fps loop over (n, 3) rows with einsum,
+one fps call per scale, and the public metric functions called one by
+one. Equality is to the bit.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from lcd.geometry import (
     nn_match,
     pair_metrics,
 )
+from lcd.dataio import gen_shapes
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -101,6 +103,63 @@ def test_fps_prefix_is_the_smaller_traversal(data):
     j = data.draw(st.integers(1, k))
     seed_index = data.draw(st.integers(0, n - 1))
     assert fps(points, k, seed_index)[:j].tolist() == fps(points, j, seed_index).tolist()
+
+
+def _fps_rows(points, k, seed_index=0):
+    # the row-layout loop: one (n, 3) difference and one einsum per round
+    chosen = [seed_index]
+    diff = points - points[seed_index]
+    min_d2 = np.einsum("ij,ij->i", diff, diff)
+    for _ in range(1, k):
+        chosen.append(int(min_d2.argmax()))
+        diff = points - points[chosen[-1]]
+        np.minimum(min_d2, np.einsum("ij,ij->i", diff, diff), out=min_d2)
+    return chosen
+
+
+@PROPERTY
+@given(st.data())
+def test_fps_equals_the_row_layout_loop(data):
+    points = _cloud(data.draw, data.draw(st.integers(1, 40)), data.draw(st.booleans()))
+    # up to 1e160: past about 1e154, squared differences overflow to inf
+    points = points * 10.0 ** data.draw(st.floats(-160.0, 160.0))
+    points = points + data.draw(arrays(np.float64, 3, elements=st.floats(-1e4, 1e4)))
+    n = len(points)
+    k = data.draw(st.integers(1, n))
+    seed_index = data.draw(st.integers(0, n - 1))
+    assert fps(points, k, seed_index).tolist() == _fps_rows(points, k, seed_index)
+    assert fps(points, n, seed_index).tolist() == _fps_rows(points, n, seed_index)
+
+
+def test_fps_equals_the_row_layout_loop_on_edge_clouds():
+    grid = np.array([[i, j, 0.0] for i in range(-2, 3) for j in range(-2, 3)])  # ties
+    cases = [
+        (np.zeros((1, 3)), 1, 0),
+        (np.zeros((5, 3)), 5, 3),  # all points coincide
+        (np.repeat(grid, 2, axis=0), 50, 7),  # every point twice
+        (grid * 1e-160, 25, 12),  # squares in the subnormal range
+        (grid * 1e150, 25, 0),
+        (grid * 1e155, 25, 4),  # squares overflow to inf
+        (grid + 1e4, 25, 24),
+    ]
+    for points, k, seed_index in cases:
+        assert fps(points, k, seed_index).tolist() == _fps_rows(points, k, seed_index)
+
+
+def test_fps_equals_the_row_layout_loop_on_a_2048_point_cloud():
+    points = gen_shapes(("torus",), count=1, points=2048, seed=5).clouds[0]
+    assert fps(points, 2048).tolist() == _fps_rows(points, 2048)
+
+
+def test_per_coordinate_sum_equals_einsum_bit_for_bit():
+    # fps sums (dx^2 + dz^2) + dy^2 on the premise that einsum does the same;
+    # a NumPy that sums 3-wide rows in another order fails here
+    rng = np.random.default_rng(10)
+    d = rng.normal(size=(10_000, 3)) * 10.0 ** rng.integers(-150, 150, size=(10_000, 1))
+    dx, dy, dz = d.T
+    per_coordinate = (dx * dx + dz * dz) + dy * dy
+    want = np.einsum("ij,ij->i", d, d)
+    assert np.array_equal(per_coordinate.view(np.int64), want.view(np.int64))
 
 
 def _mcd_one_fps_per_scale(a, b, scales=DEFAULT_MCD_SCALES):

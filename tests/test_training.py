@@ -1,6 +1,7 @@
 """Alternating trainer: update isolation, logging, runs, ablations."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +222,24 @@ def test_run_same_seed_gives_byte_identical_csv(tmp_path):
     assert ck_a == ck_b
     c = run(TrainConfig(**{**config.__dict__, "seed": 1, "out": str(tmp_path / "c")}))
     assert (tmp_path / "c" / "metrics.csv").read_bytes() != csv_a
+
+
+def test_run_wall_seconds_covers_data_loading(tmp_path, monkeypatch):
+    config = tiny_config(iters=2, eval_interval=1)
+    run(TrainConfig(**{**config.__dict__, "out": str(tmp_path / "plain")}))
+    load = trainer._load_run_data
+
+    def slow_load(cfg):
+        time.sleep(0.2)
+        return load(cfg)
+
+    monkeypatch.setattr(trainer, "_load_run_data", slow_load)
+    slow = run(TrainConfig(**{**config.__dict__, "out": str(tmp_path / "slow")}))
+    timing = (tmp_path / "slow" / "timing.txt").read_text()
+    assert float(timing.split("wall_seconds = ")[1].split()[0]) >= 0.2
+    assert slow.wall_seconds >= 0.2
+    for name in ("metrics.csv", "ckpt_recon.txt", "ckpt_lcd.txt"):
+        assert (tmp_path / "slow" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_run_timing_csv_opt_in(tmp_path):
