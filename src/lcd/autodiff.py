@@ -5,10 +5,12 @@ Define-by-run: operations execute eagerly on numpy arrays and, when a
 :func:`backward` can run the chain rule in reverse over the recording.
 The primitive set is deliberately small: elementwise arithmetic and
 transcendentals, matrix multiply, a fused dense layer (``x @ w + b``
-with optional relu, one tape entry, the same sums as the three separate
-ops), feature-axis concatenation, grouped max/sum reductions over point
-blocks, row gathering, and broadcasts: exactly what per-point MLPs with
-symmetric pooling and weighted-distance reductions need.
+with optional relu, one tape entry, the same sums as the separate ops;
+its input may come as column blocks, one of them per-cloud rows
+broadcast over each cloud's points), feature-axis concatenation,
+grouped max/sum reductions over point blocks, row gathering, and
+broadcasts: exactly what per-point MLPs with symmetric pooling and
+weighted-distance reductions need.
 
 Conventions baked in:
 
@@ -160,9 +162,16 @@ def _check_matmul(xs, attrs):
 
 
 def _check_dense(xs, attrs):
-    x, w, b = xs
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
-        raise ValueError(f"dense: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    *parts, w, b = xs
+    ok = w.ndim == 2 and b.shape == (w.shape[1],) and all(x.ndim == 2 for x in parts)
+    if ok:
+        rows = parts[0].shape[0]
+        ok = sum(x.shape[1] for x in parts) == w.shape[0] and all(
+            x.shape[0] > 0 and rows % x.shape[0] == 0 for x in parts[1:]
+        )
+    if not ok:
+        shapes = " | ".join(str(x.shape) for x in parts)
+        raise ValueError(f"dense: incompatible shapes {shapes} @ {w.shape} + {b.shape}")
 
 
 def _check_add_row(xs, attrs):
@@ -269,21 +278,49 @@ _defop(
 )
 
 
+def _dense_rows(parts):
+    """The rows of the weight matrix that each input part multiplies."""
+    lo = 0
+    for x in parts:
+        yield lo, lo + x.shape[1]
+        lo += x.shape[1]
+
+
 def _dense_forward(xs, attrs):
-    # in place on the product: the same sums as matmul, add_row and relu,
-    # without their two intermediate arrays
-    y = xs[0] @ xs[1]
-    y += xs[2]
+    # in place on the first product: the same sums, in the same order, as
+    # matmul, add, repeat_rows, add_row and relu, without their intermediates
+    *parts, w, b = xs
+    y = None
+    for x, (lo, hi) in zip(parts, _dense_rows(parts)):
+        term = x @ w[lo:hi]
+        if y is None:
+            y = term
+        elif x.shape[0] == y.shape[0]:
+            y += term
+        else:
+            blocks = y.reshape(x.shape[0], -1, y.shape[1])
+            blocks += term[:, None, :]
+    y += b
     if attrs["relu"]:
         np.maximum(y, 0.0, out=y)
     return y
 
 
 def _dense_backward(xs, out, g, attrs, want):
-    x, w, _ = xs
+    *parts, w, _ = xs
     if attrs["relu"]:
         g = g * (out > 0.0)
-    return [g @ w.T if want[0] else None, x.T @ g if want[1] else None, g.sum(axis=0) if want[2] else None]
+    gw = np.empty_like(w) if want[-2] else None
+    grads = []
+    for x, (lo, hi), wanted in zip(parts, _dense_rows(parts), want):
+        gx = g
+        if x.shape[0] < g.shape[0] and (wanted or gw is not None):
+            # a broadcast part collects its block's gradient, as repeat_rows does
+            gx = g.reshape(x.shape[0], -1, g.shape[1]).sum(axis=1)
+        grads.append(gx @ w[lo:hi].T if wanted else None)
+        if gw is not None:
+            np.matmul(x.T, gx, out=gw[lo:hi])
+    return grads + [gw, g.sum(axis=0) if want[-1] else None]
 
 
 _defop("dense", _check_dense, _dense_forward, _dense_backward)
@@ -512,9 +549,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record("matmul", a, b)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
-    """One layer, ``x @ w + b`` then an optional relu, as a single tape entry."""
-    return record("dense", x, w, b, relu=bool(relu))
+def dense(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = True) -> Tensor:
+    """One layer, ``x @ w + b`` then an optional relu, as a single tape entry.
+
+    ``x`` may also be a sequence of parts, the column blocks of one wide
+    input ``[x0 | x1 | ...]``; part k multiplies the next ``x_k.shape[1]``
+    rows of ``w``. The first part sets the row count. A part with fewer
+    rows holds one row per block of consecutive output rows and is
+    broadcast over its block, as :func:`repeat_rows` would, without
+    building the repeated matrix.
+    """
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    return record("dense", *parts, w, b, relu=bool(relu))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -798,11 +844,12 @@ def layer_count(params: ParamSet, prefix: str) -> int:
     return n
 
 
-def mlp(x: Tensor, params: ParamSet, prefix: str, relu_last: bool = True, first: int = 0) -> Tensor:
-    """Apply layers ``first``.. of the ``prefix`` stack row-wise: ``x @ w + b``,
-    then relu, except after the last layer unless ``relu_last``."""
+def mlp(x: Tensor | Sequence[Tensor], params: ParamSet, prefix: str, relu_last: bool = True) -> Tensor:
+    """Apply the ``prefix`` stack row-wise: ``x @ w + b``, then relu, except
+    after the last layer unless ``relu_last``. ``x`` may be given as the
+    column blocks that :func:`dense` takes."""
     last = layer_count(params, prefix) - 1
-    for k in range(first, last + 1):
+    for k in range(last + 1):
         x = dense(x, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"], relu_last or k < last)
     return x
 

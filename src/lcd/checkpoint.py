@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import ParamSet
+from .dataio import parse_floats
 
 __all__ = ["MAGIC", "CheckpointError", "save_checkpoint", "load_checkpoint", "load_into"]
 
@@ -126,7 +127,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                     f"{path}:{i}: tensor {name!r} ends early ({len(values)} of {need} values)"
                 )
             try:
-                values.extend(float(f) for f in row.split())
+                values.extend(parse_floats(row.split()))
             except ValueError:
                 raise CheckpointError(f"{path}:{i}: non-numeric value in tensor {name!r}") from None
         if len(values) != need:

@@ -29,6 +29,7 @@ __all__ = [
     "gen_shapes",
     "normalize",
     "save_xyz",
+    "parse_floats",
     "load_xyz",
     "save_dataset",
     "load_dataset",
@@ -221,6 +222,19 @@ def save_xyz(path, points) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def parse_floats(tokens: list[str]) -> list[float]:
+    """``float()`` of each token, limited to plain ASCII numbers.
+
+    ``float()`` also reads digit-group underscores (``1_0`` as 10.0) and
+    non-ASCII digits (``\u0661\u0662`` as 12.0). No writer here produces
+    either, so a token holding one is corrupt: this raises ValueError.
+    """
+    joined = "".join(tokens)
+    if "_" in joined or not joined.isascii():
+        raise ValueError(f"not a plain ASCII number among {tokens!r}")
+    return [float(t) for t in tokens]
+
+
 def load_xyz(path) -> np.ndarray:
     """Parse a cloud file, reporting the line number of any bad row."""
     path = Path(path)
@@ -234,7 +248,7 @@ def load_xyz(path) -> np.ndarray:
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 fields, found {len(fields)}")
         try:
-            rows.append([float(f) for f in fields])
+            rows.append(parse_floats(fields))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric field in {stripped!r}") from None
     if not rows:

@@ -124,10 +124,11 @@ def siaatt(s, pair_feats: Tensor | None, params: ParamSet, size: int | None = No
     """Per-point scores: one scalar per row of ``s``.
 
     Each point's scorer input is [coordinates | per-point feature |
-    pair summary broadcast to the point]. The first scorer layer is
-    evaluated blockwise (three row-slices of its weight matrix) so the
-    per-cloud summary term is computed once per cloud instead of once
-    per point; the result is the same linear map.
+    pair summary broadcast to the point]. The first scorer layer takes
+    these as three column blocks of one dense entry, with the summary
+    given once per cloud and broadcast inside the layer, so its term is
+    computed once per cloud instead of once per point; the result is the
+    same linear map.
 
     ``pair_feats`` is one row per cloud (from :func:`siacon`), or None
     for the layout without the pair encoder.
@@ -145,18 +146,14 @@ def siaatt(s, pair_feats: Tensor | None, params: ParamSet, size: int | None = No
             f"siaatt: scorer expects input width {w0.data.shape[0]}, got {want}"
             " (pair-summary layout mismatch)"
         )
-    rows = np.arange(w0.data.shape[0])
-    z = s @ ad.gather_rows(w0, rows[:3])
-    z = z + (feats @ ad.gather_rows(w0, rows[3 : 3 + d_feat]))
+    parts = [s, feats]
     if pair_feats is not None:
         if pair_feats.data.shape[0] != clouds:
             raise ValueError(
                 f"siaatt: {pair_feats.data.shape[0]} pair summaries for {clouds} clouds"
             )
-        per_cloud = pair_feats @ ad.gather_rows(w0, rows[3 + d_feat :])
-        z = z + ad.repeat_rows(per_cloud, n)
-    h = ad.relu(ad.add_row(z, params["g.b0"]))
-    return ad.mlp(h, params, "g", relu_last=False, first=1)
+        parts.append(pair_feats)
+    return ad.mlp(parts, params, "g", relu_last=False)
 
 
 def normalize_weights(scores, sigma: float, size: int | None = None) -> Tensor:

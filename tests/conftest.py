@@ -22,11 +22,27 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def dense_preactivation(xs):
+    """``x @ w + b`` of a recorded dense entry, from its inputs.
+
+    The input may be several column blocks, each multiplying its own rows
+    of ``w``; a block with fewer rows is repeated over consecutive rows.
+    The sums run in the layer's order, block by block, then the bias.
+    """
+    *parts, w, b = xs
+    z, lo = None, 0
+    for x in parts:
+        term = x @ w[lo : lo + x.shape[1]]
+        lo += x.shape[1]
+        z = term if z is None else z + np.repeat(term, z.shape[0] // x.shape[0], axis=0)
+    return z + b
+
+
 def relu_margin(tape):
     """Smallest |preactivation| feeding any relu on the tape.
 
-    A fused dense layer keeps only its output, so its preactivation
-    ``x @ w + b`` is recomputed from the recorded inputs.
+    A fused dense layer keeps only its output, so its preactivation is
+    recomputed from the recorded inputs.
     """
     vals = []
     for e in tape.entries:
@@ -34,7 +50,7 @@ def relu_margin(tape):
         if e.op == "relu":
             vals.append(np.abs(xs[0]).min())
         elif e.op == "dense" and e.attrs["relu"]:
-            vals.append(np.abs(xs[0] @ xs[1] + xs[2]).min())
+            vals.append(np.abs(dense_preactivation(xs)).min())
     return min(vals) if vals else np.inf
 
 

@@ -8,6 +8,8 @@ import pytest
 from lcd import autodiff as ad
 from lcd.autodiff import ParamSet, Tape, Tensor, adam_update, backward, grad_check
 
+from conftest import relu_margin
+
 
 def test_eager_without_tape_records_nothing():
     a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -261,6 +263,109 @@ def test_dense_rejects_mismatched_shapes():
         ad.dense(x, ad.tensor(np.ones((3, 4))), ad.tensor(np.ones(3)))
     with pytest.raises(ValueError):
         ad.dense(x, ad.tensor(np.ones((3, 4))), ad.tensor(np.ones((1, 4))))
+
+
+def _split_layer_case(per_cloud, seed=12):
+    """Point coordinates, point features and (optionally) per-cloud rows of
+    3 clouds x 5 points, with a weight matrix over all their columns."""
+    rng = np.random.default_rng(seed)
+    n, clouds = 5, 3
+    parts = [ad.tensor(rng.normal(size=(clouds * n, 3))), ad.tensor(rng.normal(size=(clouds * n, 4)))]
+    if per_cloud:
+        parts.append(ad.tensor(rng.normal(size=(clouds, 6))))
+    w = ad.tensor(rng.normal(size=(sum(p.shape[1] for p in parts), 7)))
+    b = ad.tensor(rng.normal(size=7))
+    return parts, w, b, n
+
+
+def _split_layer_chain(parts, w, b, n):
+    """The same layer as separate ops: row gathers of ``w``, one matmul per
+    part, the per-cloud term repeated over its points, bias, relu."""
+    rows = np.arange(w.shape[0])
+    s, f = parts[:2]
+    z = s @ ad.gather_rows(w, rows[:3])
+    z = z + (f @ ad.gather_rows(w, rows[3 : 3 + f.shape[1]]))
+    if len(parts) == 3:
+        z = z + ad.repeat_rows(parts[2] @ ad.gather_rows(w, rows[3 + f.shape[1] :]), n)
+    return ad.relu(ad.add_row(z, b))
+
+
+@pytest.mark.parametrize("per_cloud", [True, False])
+def test_dense_over_parts_matches_gather_matmul_repeat_chain_bit_for_bit(per_cloud):
+    parts, w, b, n = _split_layer_case(per_cloud)
+    g_out = ad.tensor(np.random.default_rng(13).normal(size=(parts[0].shape[0], 7)))
+
+    def loss(layer):
+        return ad.sum_all(layer * g_out)
+
+    with Tape() as tape:
+        fused = ad.dense(parts, w, b)
+        out = loss(fused)
+    fused_grads = backward(tape, out)
+    assert len(tape.entries) == 3
+    with Tape() as tape:
+        chain = _split_layer_chain(parts, w, b, n)
+        out = loss(chain)
+    chain_grads = backward(tape, out)
+
+    assert np.array_equal(fused.data, chain.data)
+    assert np.any(fused.data == 0.0) and np.any(fused.data > 0.0)
+    inputs = [*parts, w, b]
+    for t in inputs:
+        assert np.array_equal(fused_grads.wrt(t), chain_grads.wrt(t))
+    # one requested input at a time: the rule skips every other input
+    for requested in range(len(inputs)):
+        params = ParamSet()
+        swapped = list(inputs)
+        swapped[requested] = params.add("p", inputs[requested].data)
+        with Tape() as tape:
+            out = loss(ad.dense(swapped[:-2], swapped[-2], swapped[-1]))
+        pruned = backward(tape, out, params)
+        assert np.array_equal(pruned["p"].data, chain_grads.wrt(inputs[requested]))
+
+
+@pytest.mark.parametrize("per_cloud", [True, False])
+def test_relu_margin_recomputes_dense_over_parts(per_cloud):
+    parts, w, b, n = _split_layer_case(per_cloud)
+    with Tape() as fused:
+        ad.dense(parts, w, b)
+    with Tape() as chain:
+        _split_layer_chain(parts, w, b, n)
+    assert relu_margin(fused) == relu_margin(chain)
+    assert 0.0 < relu_margin(fused) < np.inf
+
+
+def test_dense_over_parts_gradients_against_finite_differences():
+    parts, w, b, _ = _split_layer_case(True, seed=14)
+    inputs = [t.data for t in (*parts, w, b)]
+
+    def fn(s, f, p, w, b):
+        return ad.sum_all(ad.square(ad.dense([s, f, p], w, b)))
+
+    with Tape() as tape:
+        fn(*parts, w, b)
+    assert relu_margin(tape) > 1e-3  # no probe crosses a relu kink
+    report = grad_check(fn, inputs, tolerance=1e-5)
+    assert report.passed, str(report)
+
+
+def test_dense_over_parts_rejects_mismatched_shapes():
+    s, f, p = (ad.tensor(np.ones(shape)) for shape in [(6, 3), (6, 4), (2, 5)])
+    w, b = ad.tensor(np.ones((12, 2))), ad.tensor(np.ones(2))
+    assert ad.dense([s, f, p], w, b).shape == (6, 2)
+    bad = [
+        ([s, f, p], ad.tensor(np.ones((11, 2))), b),  # widths sum to 12
+        ([s, f, ad.tensor(np.ones((4, 5)))], w, b),  # 4 rows do not divide 6
+        ([s, ad.tensor(np.ones((4, 4))), p], w, b),  # neither do 4 here
+        ([s, f, ad.tensor(np.ones((0, 5)))], w, b),
+        ([s, f, ad.tensor(np.ones(5))], w, b),
+        ([s, f, p], w, ad.tensor(np.ones(3))),
+    ]
+    for xs, w_bad, b_bad in bad:
+        with pytest.raises(ValueError) as info:
+            ad.dense(xs, w_bad, b_bad)
+        shapes = " | ".join(str(x.shape) for x in xs)
+        assert str(info.value) == f"dense: incompatible shapes {shapes} @ {w_bad.shape} + {b_bad.shape}"
 
 
 def test_pruned_backward_keeps_only_parameter_gradients():

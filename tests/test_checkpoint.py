@@ -161,7 +161,10 @@ MALFORMED = [
     ("LCDCKPT 1\ntensor w 2,2\n1 2\ntensor v scalar\n1\n", ":4: tensor 'w' ends early (2 of 4 values)"),
     ("LCDCKPT 1\ntensor w scalar\n \n", ":3: tensor 'w' ends early (0 of 1 values)"),
     ("LCDCKPT 1\ntensor w 1,2\n1 2\n3 4\n", ":4: expected 'tensor <name> <dims>', got '3 4'"),
-    ("LCDCKPT 1\ntensor w 2\n1_0 2\ntensor\n", ":4: expected 'tensor <name> <dims>', got 'tensor'"),
+    ("LCDCKPT 1\ntensor w 2\n1_0 2\ntensor\n", ":3: non-numeric value in tensor 'w'"),
+    ("LCDCKPT 1\ntensor w 2\n2 \u0661\u0662\n", ":3: non-numeric value in tensor 'w'"),
+    # NaN sends the block to the line-by-line parse, which reads on to line 4
+    ("LCDCKPT 1\ntensor w 2\nnan 2\ntensor\n", ":4: expected 'tensor <name> <dims>', got 'tensor'"),
 ]
 
 
@@ -230,7 +233,10 @@ def test_one_replaced_value_parses_like_float_or_names_the_line(tmp_path, slot, 
     except ValueError:
         assert got is None, "one value token must parse with float()"
         return
-    assert got is not None, "a float() token must load"
+    if "_" in token or not token.isascii():
+        assert got is None, f"float() reads {token!r}, but no writer produces it"
+        return
+    assert got is not None, "a plain float() token must load"
     want = {name: a.copy() for name, a in _FUZZ_TENSORS.items()}
     name, k = _FUZZ_SLOTS[slot]
     want[name].reshape(-1)[k] = value

@@ -1,7 +1,11 @@
 """Synthetic shape sampling, normalization, and xyz/manifest round trips."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lcd.dataio import (
     FAMILIES,
@@ -163,6 +167,67 @@ def test_load_xyz_names_the_line_of_a_non_finite_row(tmp_path, value):
     with pytest.raises(ValueError) as info:
         load_xyz(path)
     assert str(info.value) == f"{path}:4: non-finite value in '1 {value} 2'"
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661\u0662", "1\u00e9"])
+def test_load_xyz_rejects_underscores_and_non_ascii_digits(tmp_path, value):
+    # float() reads "1_0" as 10.0 and Arabic-Indic digits as 12.0
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"0 0 0\n1 {value} 2\n")
+    with pytest.raises(ValueError) as info:
+        load_xyz(path)
+    assert str(info.value) == f"{path}:2: non-numeric field in '1 {value} 2'"
+
+
+_FUZZ_POINTS = np.array([[0.5, -2.0, 1e-300], [3.0, 1e300, -0.0], [7.25, 5e-324, -1.5]])
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.integers(0, _FUZZ_POINTS.size - 1), st.text(max_size=12))
+@example(0, "")
+@example(1, "1 2")
+@example(2, "nan")
+@example(3, "-1e999")
+@example(4, "1_0")
+@example(5, "\u0661\u0662")  # float() reads Arabic-Indic digits
+@example(6, "0x10")
+@example(7, "5\n7 8 9")
+@example(8, " 4.5\u2003")
+def test_one_replaced_field_loads_like_float_or_names_the_line(tmp_path, slot, text):
+    path = tmp_path / "cloud.xyz"
+    save_xyz(path, _FUZZ_POINTS)
+    lines = path.read_text().splitlines()
+    i, j = divmod(slot, 3)
+    tokens = lines[i].split()
+    tokens[j] = text
+    lines[i] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        got = load_xyz(path)
+    except ValueError as err:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(err)), str(err)
+        got = None
+    if len(f"a{text}a".splitlines()) > 1:
+        return  # a line break changes the file's layout; either outcome may be right
+    try:
+        (token,) = text.split()
+        value = float(token)
+    except ValueError:
+        assert got is None, "one field must parse with float()"
+        return
+    if "_" in token or not token.isascii() or not np.isfinite(value):
+        assert got is None, f"{token!r} must be rejected"
+        return
+    assert got is not None, "a plain finite float() field must load"
+    want = _FUZZ_POINTS.copy()
+    want[i, j] = value
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dataset_save_load_round_trip(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcd import autodiff as ad
 from lcd.autodiff import Tape, backward, grad_check, tensor
@@ -159,6 +161,32 @@ def test_normalize_weights_grouped_sums_per_cloud():
     w = normalize_weights(tensor(scores), sigma=0.05, size=4).data
     sums = w.reshape(3, 4).sum(axis=1)
     assert np.abs(sums - 1.0).max() < 1e-12
+
+
+@st.composite
+def _score_blocks(draw):
+    n = draw(st.integers(1, 16))
+    clouds = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return n, np.array(draw(st.lists(finite, min_size=n * clouds, max_size=n * clouds)))
+
+
+# squaring a score past 1.3e154 overflows to inf, and exp(-inf) = 0 is its gain
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# sigma starts at 1e-300: a subnormal sigma over a denominator near n rounds to 0
+@given(_score_blocks(), st.floats(1e-300, 1e300))
+@example((1, np.array([1e308])), 1e-300)
+@example((3, np.array([0.0, -1e200, 2.5])), 1e300)
+@example((16, np.full(16, 1e-160)), 0.01)
+def test_normalize_weights_floor_mass_and_uniform_at_zero(blocks, sigma):
+    n, scores = blocks
+    w = normalize_weights(tensor(scores), sigma=sigma, size=n).data
+    assert w.min() > 0.0
+    assert w.min() >= sigma / (n * sigma + n)
+    assert np.abs(w.reshape(-1, n).sum(axis=1) - 1.0).max() <= 1e-12
+    flat = normalize_weights(tensor(np.zeros_like(scores)), sigma=sigma, size=n).data.reshape(-1, n)
+    assert (flat == flat[:, :1]).all()
 
 
 def test_lcd_forward_zero_on_identical_clouds():
