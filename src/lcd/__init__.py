@@ -11,9 +11,10 @@ Layers: ``autodiff`` (tape-based reverse-mode differentiation on
 float64 numpy arrays), ``geometry`` (exact nearest-neighbor matching
 and the chamfer / hausdorff / multi-scale metrics), ``lcdloss`` (the
 weighting networks and loss), ``reconnet`` (the autoencoder),
-``trainer`` (alternating optimization, metrics, ablations), ``dataio``
-(synthetic shapes and xyz files), ``checkpoint`` (versioned text
-checkpoints), ``cli`` (the ``lcd`` command).
+``trainer`` (simultaneous update of both players from one tape,
+metrics, ablations), ``dataio`` (synthetic shapes and xyz files),
+``checkpoint`` (versioned text checkpoints), ``cli`` (the ``lcd``
+command).
 """
 
 from .autodiff import (

@@ -57,6 +57,8 @@ DEFAULT_HEAD_WIDTHS = (256, 64)
 # vanishes identically) the scorer can actually train away from it.
 SCORE_BIAS_INIT = float(np.sqrt(0.5))
 
+_SIGMA_MIN = float(np.finfo(np.float64).tiny)
+
 
 def init_lcd_params(
     seed: int | np.random.Generator = 0,
@@ -163,10 +165,12 @@ def normalize_weights(scores, sigma: float, size: int | None = None) -> Tensor:
     (sigma + exp(-F[k]^2)) / (n*sigma + sum_j exp(-F[j]^2)): each weight
     is at least sigma over the denominator, the block sums to one, and
     larger sigma pulls the distribution toward uniform. Zero scores give
-    exactly uniform weights.
+    exactly uniform weights. Sigma must be at least the smallest normal
+    float64 (about 2.2e-308): a subnormal sigma over a denominator near n
+    rounds to a zero weight.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not sigma >= _SIGMA_MIN:
+        raise ValueError(f"sigma must be >= {_SIGMA_MIN:g}, got {sigma}")
     t = scores if isinstance(scores, Tensor) else ad.tensor(np.asarray(scores, dtype=np.float64))
     flat_input = t.data.ndim == 1
     if flat_input:
@@ -174,7 +178,9 @@ def normalize_weights(scores, sigma: float, size: int | None = None) -> Tensor:
     if t.data.ndim != 2 or t.data.shape[1] != 1:
         raise ValueError(f"scores must be a vector or single-column matrix, got {t.data.shape}")
     n = ad.block_size(t, size, "scores")
-    gains = ad.exp(ad.neg(ad.square(t)))
+    # a score past about 1.3e154 squares to inf, and exp(-inf) = 0 is its gain
+    with np.errstate(over="ignore"):
+        gains = ad.exp(ad.neg(ad.square(t)))
     denom = ad.shift(ad.group_sum(gains, n), n * float(sigma))
     w = ad.div(ad.shift(gains, float(sigma)), ad.repeat_rows(denom, n))
     return ad.reshape(w, (w.data.shape[0],)) if flat_input else w
@@ -229,8 +235,6 @@ def lcd_forward(
     size_o: int | None = None,
     squared: bool = False,
     backend: str = "brute",
-    match_in: np.ndarray | None = None,
-    match_out: np.ndarray | None = None,
 ) -> LcdResult:
     """Weighted symmetric matching loss between input and output clouds.
 
@@ -241,10 +245,6 @@ def lcd_forward(
     weighting networks and takes every W as 1, which gives plain chamfer.
     The loss is the mean over pairs. Distances are Euclidean
     (``squared=True`` uses squared ones).
-
-    Precomputed ``match_in`` / ``match_out`` stacked-row indices may be
-    passed to skip the nearest-neighbor search when the caller knows the
-    clouds are unchanged since the matching was computed.
     """
     s_i = ad.as_points(s_i, "s_i")
     s_o = ad.as_points(s_o, "s_o")
@@ -260,10 +260,8 @@ def lcd_forward(
         w_i = normalize_weights(siaatt(s_i, pair_feats, params, n_i), sigma, n_i)
         w_o = normalize_weights(siaatt(s_o, pair_feats, params, n_o), sigma, n_o)
 
-    if match_in is None:
-        match_in = _matched_indices(s_i.data, s_o.data, n_i, n_o, backend)
-    if match_out is None:
-        match_out = _matched_indices(s_o.data, s_i.data, n_o, n_i, backend)
+    match_in = _matched_indices(s_i.data, s_o.data, n_i, n_o, backend)
+    match_out = _matched_indices(s_o.data, s_i.data, n_o, n_i, backend)
     d_i = _matched_dists(s_i, s_o, match_in, squared)
     d_o = _matched_dists(s_o, s_i, match_out, squared)
 

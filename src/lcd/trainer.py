@@ -1,17 +1,12 @@
-"""Alternating training of the reconstruction net and the loss weighting.
+"""Simultaneous training of the reconstruction net and the loss weighting.
 
-One iteration runs up to three phases:
-
-1. reconstruct the batch (no tape) to get the current output clouds;
-2. on a fresh tape, score the (input, output) pair with the weighting
-   networks and update only their parameters against the negative-log
-   objective (skipped entirely in plain-chamfer mode);
-3. on another fresh tape, rerun reconstruction and the weighted loss
-   with the just-updated weighting (unweighted, i.e. plain chamfer, in
-   plain-chamfer mode), and update only the reconstruction parameters.
-
-The output clouds in phase 3 are bit-identical to phase 1 (same
-parameters), so the nearest-neighbor matchings from phase 2 are reused.
+Each iteration records one tape: reconstruct the batch, then score the
+(input, output) pair with the weighted loss L_R (plain chamfer in
+plain-chamfer mode). One backward pass of L_R gives both players'
+gradients. The reconstruction net descends L_R. The weighting networks
+descend -ln(L_R + sigma_r), or -L_R without the log, whose gradient is
+their gradient of L_R times -1 / (L_R + sigma_r), or times -1; that
+factor is applied to their gradients before both players' Adam updates.
 
 Metrics go to a CSV with one row per evaluation point; the header is
 fixed and floats use 6 significant digits so reruns with the same seed
@@ -192,75 +187,53 @@ def train_step(
     recon_params: ParamSet,
     config: TrainConfig,
 ) -> MetricsRecord:
-    """One alternating update; returns this step's training losses.
+    """One simultaneous update of both players from one tape.
 
-    ``lcd_params`` may be None in plain-chamfer mode. The returned
-    record's evaluation fields are unset; the run loop fills them at
-    evaluation points.
+    Returns this step's training losses. ``lcd_params`` may be None in
+    plain-chamfer mode, where only the reconstruction net is updated. The
+    returned record's evaluation fields are unset; the run loop fills them
+    at evaluation points.
     """
     t0 = time.perf_counter()
     stacked, n_i = _stack(batch)
-    if config.loss == "lcd" and lcd_params is None:
+    lcd_mode = config.loss == "lcd"
+    if lcd_mode and lcd_params is None:
         raise ValueError("lcd mode needs weighting parameters")
     param_ctx = {"recon": recon_params, "lcd": lcd_params}
-
-    n_o = reconnet.output_points(recon_params)
     iteration = recon_params.step + 1
-
-    l_r_logged = None
-    l_lcd_logged = None
-    match_in = match_out = None
-    if config.loss == "lcd":
-        s_o_data = reconnet.reconstruct(ad.tensor(stacked), recon_params, n_i).data
-        if not np.isfinite(s_o_data).all():
-            raise TrainingDiverged(iteration, "reconstruction output", float("nan"), batch, _param_norms(param_ctx))
-        with Tape() as tape:
-            res = lcdloss.lcd_forward(
-                ad.tensor(stacked),
-                ad.tensor(s_o_data),
-                lcd_params,
-                config.sigma,
-                n_i,
-                n_o,
-                config.squared,
-                config.backend,
-            )
-            if config.no_log:
-                objective = ad.neg(res.loss)
-            else:
-                objective = lcdloss.adversarial_loss(res.loss, config.sigma_r)
-        l_r_logged = res.loss.item()
-        l_lcd_logged = objective.item()
-        _check_finite(l_lcd_logged, iteration, "weighting", batch, param_ctx)
-        grads = backward(tape, objective, lcd_params)
-        adam_update(lcd_params, grads, config.lr_lcd)
-        match_in, match_out = res.match_in, res.match_out
-        # grads holds the phase-2 tape: free its arrays before phase 3 builds its own
-        del tape, grads, res, objective
 
     with Tape() as tape:
         s_i = ad.tensor(stacked)
         s_o = reconnet.reconstruct(s_i, recon_params, n_i)
         if not np.isfinite(s_o.data).all():
             raise TrainingDiverged(iteration, "reconstruction output", float("nan"), batch, _param_norms(param_ctx))
-        recon_loss = lcdloss.lcd_forward(
+        l_r = lcdloss.lcd_forward(
             s_i,
             s_o,
-            lcd_params if config.loss == "lcd" else None,
+            lcd_params if lcd_mode else None,
             config.sigma,
             n_i,
-            n_o,
+            reconnet.output_points(recon_params),
             config.squared,
             config.backend,
-            match_in=match_in,
-            match_out=match_out,
         ).loss
-    value = recon_loss.item()
-    _check_finite(value, iteration, "reconstruction", batch, param_ctx)
-    if config.loss == "cd":
-        l_r_logged = value
-    grads = backward(tape, recon_loss, recon_params)
-    adam_update(recon_params, grads, config.lr_recon)
+    l_r_logged = l_r.item()
+    _check_finite(l_r_logged, iteration, "reconstruction", batch, param_ctx)
+    l_lcd_logged = None
+    if lcd_mode:
+        if config.no_log:
+            l_lcd_logged, factor = -l_r_logged, -1.0
+        else:
+            l_lcd_logged = lcdloss.adversarial_loss(l_r_logged, config.sigma_r).item()
+            factor = -1.0 / (l_r_logged + config.sigma_r)
+        _check_finite(l_lcd_logged, iteration, "weighting", batch, param_ctx)
+        grads = backward(tape, l_r, [recon_params, lcd_params])
+        for name in lcd_params.names():
+            grads[name].data *= factor
+        adam_update(lcd_params, {n: grads[n] for n in lcd_params.names()}, config.lr_lcd)
+    else:
+        grads = backward(tape, l_r, recon_params)
+    adam_update(recon_params, {n: grads[n] for n in recon_params.names()}, config.lr_recon)
 
     ms = (time.perf_counter() - t0) * 1000.0
     return MetricsRecord(iteration, l_r=l_r_logged, l_lcd=l_lcd_logged, ms_per_step=ms)

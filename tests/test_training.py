@@ -1,4 +1,4 @@
-"""Alternating trainer: update isolation, logging, runs, ablations."""
+"""Trainer: update isolation, joint-pass gradients, logging, runs, ablations."""
 
 import math
 import time
@@ -10,8 +10,8 @@ from lcd import autodiff as ad
 from lcd import trainer
 from lcd.dataio import gen_shapes
 from lcd.geometry import chamfer, hausdorff, mcd
-from lcd.lcdloss import init_lcd_params
-from lcd.reconnet import init_recon_params, reconstruct
+from lcd.lcdloss import adversarial_loss, init_lcd_params, lcd_forward
+from lcd.reconnet import init_recon_params, output_points, reconstruct
 from lcd.trainer import (
     ABLATION_VARIANTS,
     CSV_HEADER,
@@ -127,6 +127,39 @@ def test_logged_losses_form_an_exact_pair():
     recon, lcd = _nets()
     rec = train_step(_batch(), lcd, recon, tiny_config(no_log=True))
     assert rec.l_lcd == -rec.l_r
+
+
+@pytest.mark.parametrize("no_log", [False, True])
+def test_joint_pass_gradients_equal_each_players_own_backward(monkeypatch, no_log):
+    recon, _ = _nets()
+    lcd = init_lcd_params(seed=1, feat_widths=(6, 8), head_widths=(8,), zero_final=False)
+    config = tiny_config(no_log=no_log)
+    batch = _batch()
+    stacked = np.concatenate(batch)
+    n_o = output_points(recon)
+    with ad.Tape() as tape:
+        s_i = ad.tensor(stacked)
+        s_o = reconstruct(s_i, recon, 24)
+        l_r = lcd_forward(s_i, s_o, lcd, config.sigma, 24, n_o).loss
+        objective = ad.neg(l_r) if no_log else adversarial_loss(l_r, config.sigma_r)
+    want_lcd = ad.backward(tape, objective, lcd)
+    want_recon = ad.backward(tape, l_r, recon)
+
+    seen = {}
+    real_update = trainer.adam_update
+
+    def spy(params, grads, lr):
+        seen[params is lcd] = {n: grads[n].data.copy() for n in params.names()}
+        return real_update(params, grads, lr)
+    monkeypatch.setattr(trainer, "adam_update", spy)
+    train_step(batch, lcd, recon, config)
+
+    for name in recon.names():
+        assert np.array_equal(seen[False][name], want_recon[name].data), name
+    # the joint pass scales at the leaves, the separate one at the root
+    for name in lcd.names():
+        assert np.any(want_lcd[name].data != 0.0), name
+        np.testing.assert_allclose(seen[True][name], want_lcd[name].data, rtol=1e-12, atol=0, err_msg=name)
 
 
 def test_train_step_is_deterministic():

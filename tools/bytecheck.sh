@@ -8,8 +8,10 @@
 # checkpoint on both data sets. The 2048-point eval covers large-n matching and
 # clouds of unequal size (2048 inputs against 256 reconstructed points). The
 # script then compares, byte for byte, every metrics.csv, ckpt_*.txt, eval.csv
-# and generated data file of <rev> with the working tree's. It exits
-# 1 on the first difference or missing file and 0 when all files match.
+# and generated data file of <rev> with the working tree's. It lists every
+# file that differs or that the working tree did not write, then prints the
+# matched and differing counts. It exits 1 if any file differs or is missing
+# and 0 when all files match.
 # Outputs and the exported copy of <rev> go to a temporary directory that is
 # removed on exit. Set PYTHON to choose the interpreter (default python3).
 set -euo pipefail
@@ -46,13 +48,22 @@ run_tree "$tmp/base" "$tmp/base_out"
 echo "bytecheck: running the working tree $repo"
 run_tree "$repo" "$tmp/work_out"
 
-checked=0
+matched=0
+differing=0
 while IFS= read -r -d '' file; do
     rel=${file#"$tmp/base_out/"}
-    if ! cmp -s "$file" "$tmp/work_out/$rel"; then
-        echo "bytecheck: FAIL $rel differs from $rev or is missing" >&2
-        exit 1
+    if [[ ! -f "$tmp/work_out/$rel" ]]; then
+        echo "bytecheck: MISSING $rel (written by $rev, not by the working tree)" >&2
+        differing=$((differing + 1))
+    elif ! cmp -s "$file" "$tmp/work_out/$rel"; then
+        echo "bytecheck: DIFFERS $rel" >&2
+        differing=$((differing + 1))
+    else
+        matched=$((matched + 1))
     fi
-    checked=$((checked + 1))
 done < <(find "$tmp/base_out" -type f \( -name metrics.csv -o -name 'ckpt_*.txt' -o -name eval.csv -o -path "$tmp/base_out/data*/*" \) -print0 | sort -z)
-echo "bytecheck: PASS, $checked files byte-identical to $rev"
+if ((differing > 0)); then
+    echo "bytecheck: FAIL, $matched files byte-identical to $rev, $differing differ or are missing" >&2
+    exit 1
+fi
+echo "bytecheck: PASS, $matched files byte-identical to $rev"
