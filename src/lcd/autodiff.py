@@ -7,10 +7,11 @@ The primitive set is deliberately small: elementwise arithmetic and
 transcendentals, matrix multiply, a fused dense layer (``x @ w + b``
 with optional relu, one tape entry, the same sums as the separate ops;
 its input may come as column blocks, one of them per-cloud rows
-broadcast over each cloud's points), feature-axis concatenation,
-grouped max/sum reductions over point blocks, row gathering, and
-broadcasts: exactly what per-point MLPs with symmetric pooling and
-weighted-distance reductions need.
+broadcast over each cloud's points), a relu MLP max-pooled over point
+blocks (one tape entry whose backward runs over the winning rows only),
+feature-axis concatenation, grouped max/sum reductions over point blocks,
+row gathering, and broadcasts: exactly what per-point MLPs with
+symmetric pooling and weighted-distance reductions need.
 
 Conventions baked in:
 
@@ -65,6 +66,7 @@ __all__ = [
     "shift",
     "concat",
     "group_max",
+    "pooled_mlp",
     "group_sum",
     "repeat_rows",
     "row_sum",
@@ -384,6 +386,73 @@ def _group_max_backward(xs, out, g, attrs, want):
 
 
 _defop("group_max", _check_group("group_max"), _group_max_forward, _group_max_backward)
+
+
+def _check_pooled_mlp(xs, attrs):
+    x, *layers = xs
+    n = attrs["size"]
+    ok = x.ndim == 2 and len(layers) >= 2 and len(layers) % 2 == 0
+    width = x.shape[-1]
+    for w, b in zip(layers[::2], layers[1::2]):
+        ok = ok and w.ndim == 2 and w.shape[0] == width and b.shape == (w.shape[1],)
+        if not ok:
+            break
+        width = w.shape[1]
+    if not ok:
+        shapes = " -> ".join(str(t.shape) for t in layers[::2])
+        raise ValueError(f"pooled_mlp: incompatible shapes {x.shape} -> {shapes}")
+    if n < 1 or x.shape[0] % n != 0:
+        raise ValueError(f"pooled_mlp: {x.shape[0]} rows not divisible into groups of {n}")
+
+
+def _pooled_mlp_forward(xs, attrs):
+    x, *layers = xs
+    n = attrs["size"]
+    taped = active_tape() is not None
+    h, acts = x, [x]
+    for w, b in zip(layers[::2], layers[1::2]):
+        h = _dense_forward([h, w, b], {"relu": True})
+        if taped:
+            acts.append(h)
+    blocks = h.reshape(-1, n, h.shape[1])
+    am = blocks.argmax(axis=1)  # first occurrence == lowest index on ties
+    out = np.take_along_axis(blocks, am[:, None, :], axis=1)[:, 0, :]
+    if taped:
+        # only rows that win some channel receive gradient, so the backward
+        # needs each layer's input and output at those rows and nowhere else
+        won = am + np.arange(0, x.shape[0], n)[:, None]
+        rows, pos = np.unique(won, return_inverse=True)
+        attrs["rows"] = rows
+        attrs["pos"] = pos.reshape(am.shape)
+        attrs["acts"] = [a[rows] for a in acts]
+    return out
+
+
+def _pooled_mlp_backward(xs, out, g, attrs, want):
+    x, *layers = xs
+    acts = attrs["acts"]
+    grads = [None] * len(xs)
+    gh = np.zeros((attrs["rows"].shape[0], out.shape[1]))
+    np.put_along_axis(gh, attrs["pos"], g, axis=0)
+    for k in reversed(range(len(layers) // 2)):
+        gh = gh * (acts[k + 1] > 0.0)
+        if want[1 + 2 * k]:
+            grads[1 + 2 * k] = acts[k].T @ gh
+        if want[2 + 2 * k]:
+            grads[2 + 2 * k] = gh.sum(axis=0)
+        if not any(want[: 1 + 2 * k]):
+            break
+        if k == 0:
+            # at full height: a product of a few rows may round differently
+            full = np.zeros((x.shape[0], gh.shape[1]))
+            full[attrs["rows"]] = gh
+            grads[0] = full @ layers[0].T
+        else:
+            gh = gh @ layers[2 * k].T
+    return grads
+
+
+_defop("pooled_mlp", _check_pooled_mlp, _pooled_mlp_forward, _pooled_mlp_backward)
 _defop(
     "group_sum",
     _check_group("group_sum"),
@@ -599,6 +668,25 @@ def concat(*parts: Tensor) -> Tensor:
 def group_max(a: Tensor, size: int) -> Tensor:
     """Columnwise max over consecutive row groups of ``size``; tracks argmax."""
     return record("group_max", a, size=int(size))
+
+
+def pooled_mlp(x: Tensor, params: ParamSet, prefix: str, size: int) -> Tensor:
+    """``group_max(mlp(x, params, prefix), size)`` as one tape entry.
+
+    The forward is the same arithmetic, relu after every layer, ties to the
+    lowest row. A max-pool passes gradient only to the rows that win some
+    channel, so a recording keeps each layer's input and output at those
+    rows only, and the backward runs its relu masks and products over them.
+    The input gradient's last product runs at full height; its rows equal
+    the separate ops' bit for bit wherever the BLAS rounds a row of a
+    product independently of the row count, as at the encoders' default
+    sizes. Weight and bias gradients skip exact-zero rows, so their sums
+    may round differently in the last bits. Without a tape nothing is kept.
+    """
+    layers = []
+    for k in range(layer_count(params, prefix)):
+        layers += [params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]]
+    return record("pooled_mlp", x, *layers, size=int(size))
 
 
 def group_sum(a: Tensor, size: int) -> Tensor:

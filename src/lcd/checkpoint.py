@@ -42,18 +42,20 @@ def _arrays_of(source) -> dict[str, np.ndarray]:
 def save_checkpoint(path, source: ParamSet | Mapping[str, np.ndarray]) -> Path:
     """Write named tensors to ``path``; returns the path written."""
     arrays = _arrays_of(source)
-    lines = [MAGIC]
-    for name in sorted(arrays):
+    for name in arrays:
         if any(ch.isspace() for ch in name):
             raise CheckpointError(f"tensor name {name!r} contains whitespace")
-        a = arrays[name]
-        dims = ",".join(str(d) for d in a.shape)
-        lines.append(f"tensor {name} {dims if dims else 'scalar'}")
-        rows = a.reshape(1, -1) if a.ndim < 2 else a.reshape(-1, a.shape[-1])
-        for row in rows:
-            lines.append(" ".join("%.17g" % v for v in row))
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    # line by line: the text of a whole file would be held three times over
+    with path.open("w") as f:
+        f.write(MAGIC + "\n")
+        for name in sorted(arrays):
+            a = arrays[name]
+            dims = ",".join(str(d) for d in a.shape)
+            f.write(f"tensor {name} {dims if dims else 'scalar'}\n")
+            rows = a.reshape(1, -1) if a.ndim < 2 else a.reshape(-1, a.shape[-1])
+            for row in rows:
+                f.write(" ".join("%.17g" % v for v in row) + "\n")
     return path
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_FEAT_WIDTHS",
     "DEFAULT_HEAD_WIDTHS",
     "SCORE_BIAS_INIT",
+    "SIGMA_MIN",
     "LcdResult",
     "init_lcd_params",
     "siacon",
@@ -57,7 +58,8 @@ DEFAULT_HEAD_WIDTHS = (256, 64)
 # vanishes identically) the scorer can actually train away from it.
 SCORE_BIAS_INIT = float(np.sqrt(0.5))
 
-_SIGMA_MIN = float(np.finfo(np.float64).tiny)
+# the smallest sigma normalize_weights takes: the smallest normal float64
+SIGMA_MIN = float(np.finfo(np.float64).tiny)
 
 
 def init_lcd_params(
@@ -109,7 +111,9 @@ def init_lcd_params(
 def siacon(s_i, s_o, params: ParamSet, size_i: int | None = None, size_o: int | None = None) -> Tensor:
     """Pair summary: shared per-point net pooled over each cloud, concatenated.
 
-    Returns one row per cloud pair: (B, 2 * feat_widths[-1]).
+    Returns one row per cloud pair: (B, 2 * feat_widths[-1]). Each side is
+    one :func:`~lcd.autodiff.pooled_mlp` entry, whose backward runs over
+    the rows that win the pool only.
     """
     s_i = ad.as_points(s_i, "s_i")
     s_o = ad.as_points(s_o, "s_o")
@@ -117,8 +121,8 @@ def siacon(s_i, s_o, params: ParamSet, size_i: int | None = None, size_o: int | 
     n_o = ad.block_size(s_o, size_o, "s_o")
     if s_i.data.shape[0] // n_i != s_o.data.shape[0] // n_o:
         raise ValueError("siacon: the two sides hold different numbers of clouds")
-    g_i = ad.group_max(ad.mlp(s_i, params, "f1"), n_i)
-    g_o = ad.group_max(ad.mlp(s_o, params, "f1"), n_o)
+    g_i = ad.pooled_mlp(s_i, params, "f1", n_i)
+    g_o = ad.pooled_mlp(s_o, params, "f1", n_o)
     return ad.concat(g_i, g_o)
 
 
@@ -169,8 +173,8 @@ def normalize_weights(scores, sigma: float, size: int | None = None) -> Tensor:
     float64 (about 2.2e-308): a subnormal sigma over a denominator near n
     rounds to a zero weight.
     """
-    if not sigma >= _SIGMA_MIN:
-        raise ValueError(f"sigma must be >= {_SIGMA_MIN:g}, got {sigma}")
+    if not sigma >= SIGMA_MIN:
+        raise ValueError(f"sigma must be >= {SIGMA_MIN:g}, got {sigma}")
     t = scores if isinstance(scores, Tensor) else ad.tensor(np.asarray(scores, dtype=np.float64))
     flat_input = t.data.ndim == 1
     if flat_input:

@@ -110,10 +110,14 @@ def output_points(params: ParamSet) -> int:
 
 
 def encode(cloud, params: ParamSet, size: int | None = None) -> Tensor:
-    """Per-point MLP (relu throughout) max-pooled per cloud: (B, latent)."""
+    """Per-point MLP (relu throughout) max-pooled per cloud: (B, latent).
+
+    One :func:`~lcd.autodiff.pooled_mlp` entry: a recording keeps only the
+    rows that win the pool, the only rows that receive gradient.
+    """
     t = ad.as_points(cloud, "encode")
     n = ad.block_size(t, size, "encode")
-    return ad.group_max(ad.mlp(t, params, "enc"), n)
+    return ad.pooled_mlp(t, params, "enc", n)
 
 
 def decode(latent, params: ParamSet) -> Tensor:

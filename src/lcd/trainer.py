@@ -17,6 +17,7 @@ separate timing file unless explicitly opted into the CSV.
 from __future__ import annotations
 
 import ctypes
+import math
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -98,20 +99,21 @@ class TrainConfig:
             raise ValueError(f"points must be >= 8, got {self.points}")
         if self.count < 2:
             raise ValueError(f"count must be >= 2 (train and eval splits), got {self.count}")
-        if self.lr_recon <= 0 or self.lr_lcd <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.sigma_r <= 0:
-            raise ValueError(f"sigma_r must be > 0, got {self.sigma_r}")
+        # each float bound is written "not lo < x < inf" so that NaN fails it
+        for name in ("lr_recon", "lr_lcd", "sigma_r"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not lcdloss.SIGMA_MIN <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= {lcdloss.SIGMA_MIN:g}, got {self.sigma}")
         if self.eval_interval < 1:
             raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must lie in (0, 1), got {self.eval_fraction}")
         if self.backend not in ("brute", "kdtree"):
             raise ValueError(f"backend must be brute or kdtree, got {self.backend!r}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not self.families:
             raise ValueError("families must be nonempty")
 

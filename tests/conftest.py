@@ -38,11 +38,24 @@ def dense_preactivation(xs):
     return z + b
 
 
+def pooled_preactivations(xs):
+    """Every layer's ``h @ w + b`` of a recorded pooled_mlp entry, from its
+    inputs ``(x, w0, b0, w1, b1, ...)``; each layer's ``h`` is the relu of
+    the layer before it."""
+    h, *layers = xs
+    zs = []
+    for w, b in zip(layers[::2], layers[1::2]):
+        zs.append(dense_preactivation([h, w, b]))
+        h = np.maximum(zs[-1], 0.0)
+    return zs
+
+
 def relu_margin(tape):
     """Smallest |preactivation| feeding any relu on the tape.
 
-    A fused dense layer keeps only its output, so its preactivation is
-    recomputed from the recorded inputs.
+    A fused dense layer keeps only its output, and a pooled MLP keeps only
+    its pooled rows, so their preactivations are recomputed from the
+    recorded inputs.
     """
     vals = []
     for e in tape.entries:
@@ -51,6 +64,8 @@ def relu_margin(tape):
             vals.append(np.abs(xs[0]).min())
         elif e.op == "dense" and e.attrs["relu"]:
             vals.append(np.abs(dense_preactivation(xs)).min())
+        elif e.op == "pooled_mlp":
+            vals.extend(np.abs(z).min() for z in pooled_preactivations(xs))
     return min(vals) if vals else np.inf
 
 
@@ -85,9 +100,13 @@ def pool_margin(tape):
     """
     vals = []
     for e in tape.entries:
-        if e.op != "group_max":
+        xs = [tape._tensors[uid].data for uid in e.inputs]
+        if e.op == "group_max":
+            a = xs[0]
+        elif e.op == "pooled_mlp":
+            a = np.maximum(pooled_preactivations(xs)[-1], 0.0)
+        else:
             continue
-        a = tape._tensors[e.inputs[0]].data
         n = e.attrs["size"]
         if n < 2:
             continue

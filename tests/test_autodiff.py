@@ -8,7 +8,7 @@ import pytest
 from lcd import autodiff as ad
 from lcd.autodiff import ParamSet, Tape, Tensor, adam_update, backward, grad_check
 
-from conftest import relu_margin
+from conftest import pool_margin, relu_margin
 
 
 def test_eager_without_tape_records_nothing():
@@ -366,6 +366,175 @@ def test_dense_over_parts_rejects_mismatched_shapes():
             ad.dense(xs, w_bad, b_bad)
         shapes = " | ".join(str(x.shape) for x in xs)
         assert str(info.value) == f"dense: incompatible shapes {shapes} @ {w_bad.shape} + {b_bad.shape}"
+
+
+def _pooled_case(clouds, n, widths, seed=21, ties=False):
+    """Stacked clouds and a relu stack ``m`` through ``widths``; with
+    ``ties``, every cloud repeats its points, so pooled maxima tie between
+    rows, and some channels are dead (relu 0 on every point)."""
+    rng = np.random.default_rng(seed)
+    params = ParamSet()
+    ad.add_mlp(params, rng, "m", (3,) + tuple(widths))
+    for name in params.names():
+        params[name].data += rng.normal(0.0, 0.2, size=params[name].shape)
+    x = rng.normal(size=(clouds * n, 3))
+    if ties:
+        x = x.reshape(clouds, n, 3)
+        x[:, n // 2 : 2 * (n // 2)] = x[:, : n // 2]
+        x = x.reshape(-1, 3)
+        params["m.b0"].data[0] = -1e3  # a dead first-layer unit
+        last = len(widths) - 1
+        params[f"m.b{last}"].data[-1] = -1e3  # a dead pooled channel
+    return ad.tensor(x), params, n
+
+
+def _pooled_pair(x, params, n, g_out):
+    """Output and gradients of the pooled op and of group_max(mlp(...))."""
+    res = []
+    for layer in (lambda: ad.pooled_mlp(x, params, "m", n), lambda: ad.group_max(ad.mlp(x, params, "m"), n)):
+        with Tape() as tape:
+            out = layer()
+            total = ad.sum_all(out * g_out)
+        res.append((out.data, backward(tape, total)))
+    return res
+
+
+def _assert_close(a, b):
+    # the pooled op's parameter sums skip exact-zero rows, so they may round
+    # differently from the dense products in the last bits
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+POOLED_CASES = {
+    "random": dict(clouds=3, n=5, widths=(4, 6)),
+    "three layers": dict(clouds=2, n=7, widths=(5, 8, 6)),
+    "ties and duplicate points": dict(clouds=3, n=6, widths=(4, 6), ties=True),
+    "one-row blocks": dict(clouds=4, n=1, widths=(4, 6)),
+    "mid-size": dict(clouds=4, n=64, widths=(16, 32)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOLED_CASES))
+def test_pooled_mlp_matches_group_max_of_mlp(case):
+    x, params, n = _pooled_case(**POOLED_CASES[case])
+    width = params[f"m.b{ad.layer_count(params, 'm') - 1}"].shape[0]
+    g_out = ad.tensor(np.random.default_rng(22).normal(size=(x.shape[0] // n, width)))
+    (pooled, pg), (chain, cg) = _pooled_pair(x, params, n, g_out)
+    assert np.array_equal(pooled, chain)
+    if POOLED_CASES[case].get("ties"):
+        assert np.any(pooled == 0.0) and np.any(pooled > 0.0)
+    for name in params.names():
+        _assert_close(pg[name].data, cg[name].data)
+    # the input gradient's last product runs at full height; the products
+    # above it run over the winning rows, which rounds like the full-height
+    # product wherever the BLAS computes a row independently of the row count
+    _assert_close(pg.wrt(x), cg.wrt(x))
+    assert np.all(pg.wrt(x)[np.all(cg.wrt(x) == 0.0, axis=1)] == 0.0)
+
+
+@pytest.mark.parametrize("widths", [(64, 128, 128), (64, 128, 256)])
+def test_pooled_mlp_input_gradient_bit_identical_at_encoder_size(widths):
+    # the trainer's batch of 8 clouds x 256 points through the encoder's and
+    # the pair encoder's default widths
+    x, params, n = _pooled_case(8, 256, widths, seed=23)
+    g_out = ad.tensor(np.random.default_rng(24).normal(size=(8, widths[-1])))
+    (pooled, pg), (chain, cg) = _pooled_pair(x, params, n, g_out)
+    assert np.array_equal(pooled, chain)
+    assert np.array_equal(pg.wrt(x), cg.wrt(x))
+    for name in params.names():
+        _assert_close(pg[name].data, cg[name].data)
+
+
+def test_pooled_mlp_backward_honours_each_want_mask():
+    x, params, n = _pooled_case(3, 6, (4, 5, 6), seed=25, ties=True)
+    g_out = ad.tensor(np.random.default_rng(26).normal(size=(3, 6)))
+    (_, _), (_, oracle) = _pooled_pair(x, params, n, g_out)
+    inputs = [x] + [params[name] for name in params.names()]
+    for requested in range(len(inputs)):
+        # the requested input becomes the only parameter; the rest are constants
+        values = {name: ad.tensor(params[name].data.copy()) for name in params.names()}
+        leaf = ad.tensor(x.data)
+        requested_set = ParamSet()
+        if requested == 0:
+            leaf = requested_set.add("p", x.data)
+        else:
+            name = params.names()[requested - 1]
+            values[name] = requested_set.add("p", params[name].data)
+        with Tape() as tape:
+            total = ad.sum_all(ad.pooled_mlp(leaf, values, "m", n) * g_out)
+        got = backward(tape, total, requested_set)["p"].data
+        want = oracle.wrt(inputs[requested])
+        assert np.any(want != 0.0)
+        if requested == 0:
+            assert np.array_equal(got, want)
+        else:
+            _assert_close(got, want)
+
+
+def test_pooled_mlp_gradients_against_finite_differences():
+    x, params, n = _pooled_case(3, 5, (4, 6), seed=27)
+    names = params.names()
+
+    def fn(x, *arrays):
+        return ad.sum_all(ad.square(ad.pooled_mlp(x, dict(zip(names, arrays)), "m", n)))
+
+    with Tape() as tape:
+        fn(x, *[params[name] for name in names])
+    assert len(tape.entries) == 3
+    # no probe crosses a relu kink or switches a pooled row
+    assert relu_margin(tape) > 1e-3 and pool_margin(tape) > 1e-3
+    report = grad_check(fn, [x.data] + [params[name].data for name in names], tolerance=1e-5)
+    assert report.passed, str(report)
+
+
+def test_pooled_mlp_keeps_winning_rows_only_and_nothing_without_a_tape():
+    x, params, n = _pooled_case(8, 32, (16, 24), seed=28)
+    xs = [x.data] + [params[name].data for name in params.names()]
+    attrs = {"size": n}
+    eager = ad._OPS["pooled_mlp"].forward(xs, attrs)
+    assert attrs == {"size": n}
+    with Tape() as tape:
+        out = ad.pooled_mlp(x, params, "m", n)
+    assert np.array_equal(out.data, eager)
+    (entry,) = tape.entries
+    rows = entry.attrs["rows"]
+    assert 8 <= rows.shape[0] < x.shape[0]
+    assert [a.shape for a in entry.attrs["acts"]] == [(rows.shape[0], w) for w in (3, 16, 24)]
+    # the tape holds the input, the parameters and the pooled output, and no
+    # full-height activation
+    assert sorted(t.shape for t in tape._tensors) == sorted(
+        [x.shape, out.shape] + [params[name].shape for name in params.names()]
+    )
+
+
+def test_kink_guards_see_the_pooled_op():
+    x, params, n = _pooled_case(3, 5, (4, 6), seed=29)
+    with Tape() as pooled:
+        ad.pooled_mlp(x, params, "m", n)
+    with Tape() as chain:
+        ad.group_max(ad.mlp(x, params, "m"), n)
+    assert relu_margin(pooled) == relu_margin(chain) < np.inf
+    assert pool_margin(pooled) == pool_margin(chain) < np.inf
+
+
+def test_pooled_mlp_rejects_mismatched_shapes():
+    x = ad.tensor(np.ones((6, 3)))
+    w0, b0 = ad.tensor(np.ones((3, 4))), ad.tensor(np.ones(4))
+    assert ad.record("pooled_mlp", x, w0, b0, size=3).shape == (2, 4)
+    bad = [
+        ((x, ad.tensor(np.ones((2, 4))), b0), 3),
+        ((x, w0, ad.tensor(np.ones(3))), 3),
+        ((x, w0, b0, ad.tensor(np.ones((5, 2))), ad.tensor(np.ones(2))), 3),
+        ((x, w0), 3),
+        ((x,), 3),
+        ((ad.tensor(np.ones(6)), w0, b0), 3),
+    ]
+    for inputs, size in bad:
+        with pytest.raises(ValueError, match="pooled_mlp: incompatible shapes"):
+            ad.record("pooled_mlp", *inputs, size=size)
+    for size in (0, 4):
+        with pytest.raises(ValueError, match="not divisible into groups"):
+            ad.record("pooled_mlp", x, w0, b0, size=size)
 
 
 def test_pruned_backward_keeps_only_parameter_gradients():

@@ -97,6 +97,24 @@ def test_train_rejects_bad_values(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sigma", "1e-310", "sigma must be finite and >= 2.22507e-308, got 1e-310"),
+        ("--sigma", "nan", "sigma must be finite and >= 2.22507e-308, got nan"),
+        ("--sigma-r", "nan", "sigma_r must be finite and > 0, got nan"),
+        ("--lr-recon", "nan", "lr_recon must be finite and > 0, got nan"),
+        ("--lr-lcd", "nan", "lr_lcd must be finite and > 0, got nan"),
+        ("--noise", "nan", "noise_std must be finite and >= 0, got nan"),
+    ],
+)
+def test_train_rejects_bad_floats_before_any_work(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), flag, value]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # no data generated, no evaluation run
+
+
 def test_train_missing_data_manifest_is_runtime_error(tmp_path, capsys):
     code = main(["train", *TINY_TRAIN, "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r")])

@@ -69,10 +69,28 @@ def test_validate_rejects_bad_fields():
         dict(noise_std=-0.1),
         dict(families=()),
     ]
+    # NaN fails every comparison, so each bound must be written to reject it;
+    # an infinite value passes a lower bound but breaks the first step
+    nan, inf = float("nan"), float("inf")
+    bad += [
+        dict(sigma=1e-310),  # subnormal: normalize_weights rejects it
+        dict(sigma=nan),
+        dict(sigma=inf),
+        dict(sigma_r=nan),
+        dict(sigma_r=inf),
+        dict(lr_recon=nan),
+        dict(lr_lcd=nan),
+        dict(lr_recon=inf),
+        dict(noise_std=nan),
+        dict(noise_std=inf),
+    ]
     for overrides in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             tiny_config(**overrides).validate()
+        (field,) = overrides
+        assert str(info.value).startswith(field)  # the message names the field
     tiny_config().validate()  # baseline is fine
+    tiny_config(sigma=2.2250738585072014e-308, noise_std=0.0).validate()
 
 
 def test_train_step_zero_lr_leaves_both_nets_bitwise_unchanged():
