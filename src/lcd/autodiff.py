@@ -415,17 +415,18 @@ def _pooled_mlp_forward(xs, attrs):
         if taped:
             acts.append(h)
     blocks = h.reshape(-1, n, h.shape[1])
+    if not taped:
+        # the maxima alone: argmax reads the blocks through a contiguous copy
+        return blocks.max(axis=1)
     am = blocks.argmax(axis=1)  # first occurrence == lowest index on ties
-    out = np.take_along_axis(blocks, am[:, None, :], axis=1)[:, 0, :]
-    if taped:
-        # only rows that win some channel receive gradient, so the backward
-        # needs each layer's input and output at those rows and nowhere else
-        won = am + np.arange(0, x.shape[0], n)[:, None]
-        rows, pos = np.unique(won, return_inverse=True)
-        attrs["rows"] = rows
-        attrs["pos"] = pos.reshape(am.shape)
-        attrs["acts"] = [a[rows] for a in acts]
-    return out
+    # only rows that win some channel receive gradient, so the backward
+    # needs each layer's input and output at those rows and nowhere else
+    won = am + np.arange(0, x.shape[0], n)[:, None]
+    rows, pos = np.unique(won, return_inverse=True)
+    attrs["rows"] = rows
+    attrs["pos"] = pos.reshape(am.shape)
+    attrs["acts"] = [a[rows] for a in acts]
+    return np.take_along_axis(blocks, am[:, None, :], axis=1)[:, 0, :]
 
 
 def _pooled_mlp_backward(xs, out, g, attrs, want):
@@ -681,7 +682,8 @@ def pooled_mlp(x: Tensor, params: ParamSet, prefix: str, size: int) -> Tensor:
     the separate ops' bit for bit wherever the BLAS rounds a row of a
     product independently of the row count, as at the encoders' default
     sizes. Weight and bias gradients skip exact-zero rows, so their sums
-    may round differently in the last bits. Without a tape nothing is kept.
+    may round differently in the last bits. Without a tape nothing is kept,
+    and the pool takes each block's maxima without finding their rows.
     """
     layers = []
     for k in range(layer_count(params, prefix)):
@@ -831,13 +833,13 @@ class ParamSet:
 
     Names are unique and shapes are fixed once added; updates mutate the
     tensor data in place so tensor identity (and tape registration) is
-    preserved across steps.
+    preserved across steps. A parameter's Adam moments are made, as zeros,
+    at its first update, so a set that is only evaluated holds none.
     """
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step = 0
 
     def add(self, name: str, value) -> Tensor:
@@ -845,8 +847,6 @@ class ParamSet:
             raise ValueError(f"parameter {name!r} already exists")
         t = Tensor(value, name=name)
         self._tensors[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -878,7 +878,11 @@ class ParamSet:
             np.copyto(t.data, np.asarray(values[name], dtype=np.float64))
 
     def moment_state(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._m[name], self._v[name]
+        """Adam's first and second moments of ``name``, made on first use."""
+        if name not in self._moments:
+            data = self._tensors[name].data
+            self._moments[name] = (np.zeros_like(data), np.zeros_like(data))
+        return self._moments[name]
 
 
 def adam_update(
@@ -898,10 +902,12 @@ def adam_update(
     t = params.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name, p in params.items():
+    # every moment before any temporary, so the moments that the first update
+    # makes lie together on the heap, not between the temporaries it frees
+    moments = [params.moment_state(name) for name in params.names()]
+    for (name, p), (m, v) in zip(params.items(), moments):
         g = grads[name]
         g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        m, v = params.moment_state(name)
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

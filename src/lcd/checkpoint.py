@@ -11,13 +11,19 @@ A scalar or 1-D tensor occupies one value line; an (r, c) matrix
 occupies r lines of c values. 17 significant digits round-trip float64
 exactly. Tensors are written in sorted name order so identical parameter
 sets produce identical files.
+
+Both directions go line by line: the writer formats one row at a time,
+and the reader parses each value line into its tensor's preallocated
+array, so neither holds more than one line of the file's text.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -59,82 +65,90 @@ def save_checkpoint(path, source: ParamSet | Mapping[str, np.ndarray]) -> Path:
     return path
 
 
-def _parse_block(lines: list[str], need: int) -> np.ndarray | None:
-    """A tensor's value lines in one NumPy call; None unless that is exact.
+def _numbered_lines(f) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line, split as ``str.splitlines`` splits."""
+    number = 0
+    for chunk in f:
+        for line in chunk.splitlines():
+            number += 1
+            yield number, line
 
-    ``np.fromstring`` rounds correctly, as ``float()`` does, but it also
-    reads two things ``float()`` rejects: a blank string (as -1.0) and
-    ``nan(...)``. Blank blocks and any NaN go to the line-by-line parse,
-    as do conversion errors and wrong value counts, so the values and the
-    error messages are those of that parse.
+
+def _row_values(row: str) -> np.ndarray:
+    """The values of one value line, as ``parse_floats`` reads them.
+
+    ``np.fromstring`` rounds correctly, as ``float()`` does, and is faster,
+    but it also reads two things ``float()`` rejects: a blank string (as
+    -1.0) and ``nan(...)``. Blank lines, any NaN and lines that it cannot
+    read to their end go to ``parse_floats``, so the values and the
+    ValueError are that parse's.
     """
-    text = " ".join(lines)
-    if text.isspace():
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.fromstring(text, sep=" ")
-        except (ValueError, Warning):
-            return None
-    if values.size != need or np.isnan(values).any():
-        return None
-    return values
+    if not row.isspace():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = np.fromstring(row, sep=" ")
+            except (ValueError, Warning):
+                values = None
+        if values is not None and not np.isnan(values).any():
+            return values
+    return np.array(parse_floats(row.split()), dtype=np.float64)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint into name -> array, validating the format."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != MAGIC:
-        found = lines[0].strip() if lines else "<empty file>"
-        raise CheckpointError(f"{path}: bad magic header {found!r} (expected {MAGIC!r})")
+    """Parse a checkpoint into name -> array, validating the format.
 
-    out: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "tensor" or len(parts) != 3:
-            raise CheckpointError(f"{path}:{i}: expected 'tensor <name> <dims>', got {line!r}")
-        name, dim_field = parts[1], parts[2]
-        if name in out:
-            raise CheckpointError(f"{path}:{i}: duplicate tensor {name!r}")
-        try:
-            shape = () if dim_field == "scalar" else tuple(int(d) for d in dim_field.split(","))
-        except ValueError:
-            raise CheckpointError(f"{path}:{i}: bad dims {dim_field!r} for tensor {name!r}") from None
-        if any(d < 0 for d in shape):
-            raise CheckpointError(f"{path}:{i}: negative dim in {dim_field!r} for tensor {name!r}")
-        need = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        n_rows = 1 if len(shape) < 2 else int(np.prod(shape[:-1], dtype=np.int64))
-        fast = _parse_block(lines[i : i + n_rows], need) if i + n_rows <= len(lines) else None
-        if fast is not None:
-            i += n_rows
-            out[name] = fast.reshape(shape)
-            continue
-        values: list[float] = []
-        while len(values) < need:
-            if i >= len(lines):
-                raise CheckpointError(
-                    f"{path}:{i}: tensor {name!r} ends early ({len(values)} of {need} values)"
-                )
-            row = lines[i].strip()
-            i += 1
-            if row.startswith("tensor "):
-                raise CheckpointError(
-                    f"{path}:{i}: tensor {name!r} ends early ({len(values)} of {need} values)"
-                )
+    The file is read line by line, each value line straight into its
+    tensor's array, so memory beyond the tensors is one line of text.
+    """
+    path = Path(path)
+    with path.open() as f:
+        st = os.fstat(f.fileno())
+        # a value takes two bytes at least, so no tensor in the file holds more
+        # values than this; a header that asks for more ends early
+        most = st.st_size // 2 + 1 if stat.S_ISREG(st.st_mode) else None
+        lines = _numbered_lines(f)
+        i, first = next(lines, (0, None))
+        if first is None or first.strip() != MAGIC:
+            found = first.strip() if first is not None else "<empty file>"
+            raise CheckpointError(f"{path}: bad magic header {found!r} (expected {MAGIC!r})")
+
+        out: dict[str, np.ndarray] = {}
+        for i, text in lines:
+            line = text.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] != "tensor" or len(parts) != 3:
+                raise CheckpointError(f"{path}:{i}: expected 'tensor <name> <dims>', got {line!r}")
+            name, dim_field = parts[1], parts[2]
+            if name in out:
+                raise CheckpointError(f"{path}:{i}: duplicate tensor {name!r}")
             try:
-                values.extend(parse_floats(row.split()))
+                shape = () if dim_field == "scalar" else tuple(int(d) for d in dim_field.split(","))
             except ValueError:
-                raise CheckpointError(f"{path}:{i}: non-numeric value in tensor {name!r}") from None
-        if len(values) != need:
-            raise CheckpointError(f"{path}:{i}: tensor {name!r} holds {len(values)} values, shape needs {need}")
-        out[name] = np.array(values).reshape(shape)
+                raise CheckpointError(f"{path}:{i}: bad dims {dim_field!r} for tensor {name!r}") from None
+            if any(d < 0 for d in shape):
+                raise CheckpointError(f"{path}:{i}: negative dim in {dim_field!r} for tensor {name!r}")
+            need = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            values = np.empty(max(0, need if most is None else min(need, most)))
+            got = 0
+            # rows may split or join across lines: read until the count is met
+            while got < need:
+                i, text = next(lines, (i, None))
+                if text is None or text.strip().startswith("tensor "):
+                    raise CheckpointError(f"{path}:{i}: tensor {name!r} ends early ({got} of {need} values)")
+                try:
+                    row = _row_values(text)
+                except ValueError:
+                    raise CheckpointError(f"{path}:{i}: non-numeric value in tensor {name!r}") from None
+                got += row.size
+                if got > need:
+                    break
+                values[got - row.size : got] = row
+            if got != need:
+                raise CheckpointError(f"{path}:{i}: tensor {name!r} holds {got} values, shape needs {need}")
+            out[name] = values.reshape(shape)
     if not out:
         raise CheckpointError(f"{path}: checkpoint holds no tensors")
     return out

@@ -198,8 +198,8 @@ def gen_shapes(
         raise ValueError(f"gen_shapes: count must be >= 1, got {count}")
     if points < 8:
         raise ValueError(f"gen_shapes: points must be >= 8, got {points}")
-    if noise_std < 0.0:
-        raise ValueError(f"gen_shapes: noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < math.inf:  # written so that NaN fails it
+        raise ValueError(f"gen_shapes: noise_std must be finite and >= 0, got {noise_std}")
 
     streams = np.random.SeedSequence(seed).spawn(count)
     clouds = []

@@ -282,8 +282,8 @@ def adversarial_loss(l_r, sigma_r: float) -> Tensor:
     approaches zero. Negative loss values are rejected (the weighted
     distance mean cannot be negative; one signals an upstream bug).
     """
-    if sigma_r <= 0.0:
-        raise ValueError(f"sigma_r must be > 0, got {sigma_r}")
+    if not 0.0 < sigma_r < np.inf:  # written so that NaN fails it
+        raise ValueError(f"sigma_r must be finite and > 0, got {sigma_r}")
     t = l_r if isinstance(l_r, Tensor) else ad.tensor(np.asarray(l_r, dtype=np.float64))
     if float(t.data.min()) < 0.0:
         raise ValueError(f"reconstruction loss must be >= 0, got {float(t.data.min())}")

@@ -56,6 +56,9 @@ CSV_HEADER = "iter,cd,mcd,hd,l_r,l_lcd,ms_per_step"
 LOSS_MODES = ("cd", "lcd")
 ABLATION_VARIANTS = ("cd", "lcd_no_siacon", "lcd_no_log", "lcd_full")
 SWEEP_PARAMS = {"sigma": "sigma", "lr-lcd": "lr_lcd", "lr_lcd": "lr_lcd"}
+# evaluate's encoder chunk: 4096 points keep each activation of the default
+# encoder to 4 MiB, and a default run's held-out set (4 x 256) is one chunk
+EVAL_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -244,13 +247,22 @@ def train_step(
 def evaluate(recon_params: ParamSet, dataset: Dataset, backend: str = "brute") -> EvalResult:
     """Reconstruct every cloud and average cd / mcd / hd against the inputs.
 
-    Raises ValueError naming the first cloud whose reconstruction is not
-    finite, before any matching.
+    The encoder runs on chunks of whole clouds, at most ``EVAL_CHUNK_ROWS``
+    stacked points each but never less than one cloud, so its activations
+    do not grow with the dataset; all codes then go through one decode.
+    A cloud's code does not depend on its chunk wherever the BLAS rounds a
+    row of a product independently of the row count, as at the default
+    sizes. Raises ValueError naming the first cloud whose reconstruction
+    is not finite, before any matching.
     """
     if len(dataset) == 0:
         raise ValueError("evaluation dataset is empty")
-    stacked, n = _stack(dataset.clouds)
-    out = reconnet.reconstruct(ad.tensor(stacked), recon_params, n).data
+    per_chunk = max(1, EVAL_CHUNK_ROWS // max(1, len(dataset.clouds[0])))
+    codes = []
+    for k in range(0, len(dataset), per_chunk):
+        stacked, n = _stack(dataset.clouds[k : k + per_chunk])
+        codes.append(reconnet.encode(ad.tensor(stacked), recon_params, n).data)
+    out = reconnet.decode(np.concatenate(codes), recon_params).data
     n_o = reconnet.output_points(recon_params)
     finite = np.isfinite(out.reshape(len(dataset), n_o * 3)).all(axis=1)
     if not finite.all():

@@ -1,6 +1,7 @@
 """Tape engine: op semantics, gradients vs finite differences, optimizer."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,9 @@ def test_pooled_mlp_matches_group_max_of_mlp(case):
     g_out = ad.tensor(np.random.default_rng(22).normal(size=(x.shape[0] // n, width)))
     (pooled, pg), (chain, cg) = _pooled_pair(x, params, n, g_out)
     assert np.array_equal(pooled, chain)
+    # without a tape the pool takes the maxima alone, not their rows
+    untaped = ad.pooled_mlp(x, params, "m", n).data
+    assert np.array_equal(untaped.view(np.int64), pooled.view(np.int64))
     if POOLED_CASES[case].get("ties"):
         assert np.any(pooled == 0.0) and np.any(pooled > 0.0)
     for name in params.names():
@@ -440,6 +444,9 @@ def test_pooled_mlp_input_gradient_bit_identical_at_encoder_size(widths):
     g_out = ad.tensor(np.random.default_rng(24).normal(size=(8, widths[-1])))
     (pooled, pg), (chain, cg) = _pooled_pair(x, params, n, g_out)
     assert np.array_equal(pooled, chain)
+    # without a tape the pool takes the maxima alone, not their rows
+    untaped = ad.pooled_mlp(x, params, "m", n).data
+    assert np.array_equal(untaped.view(np.int64), pooled.view(np.int64))
     assert np.array_equal(pg.wrt(x), cg.wrt(x))
     for name in params.names():
         _assert_close(pg[name].data, cg[name].data)
@@ -623,6 +630,40 @@ def test_adam_constant_gradient_step_approaches_lr():
         step = prev - float(params["w"].data[0])
         prev = float(params["w"].data[0])
     assert abs(step - lr) < 1e-6
+
+
+def test_adam_moments_are_made_at_the_first_update():
+    rng = np.random.default_rng(40)
+    w0, b0 = rng.normal(size=(64, 256)), rng.normal(size=256)
+    w, b = w0.copy(), b0.copy()
+    tracemalloc.start()
+    try:
+        params = ParamSet()
+        params.add("w", w)
+        params.add("b", b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w0.nbytes / 4  # neither copies the values nor zeroes moments
+    # Adam with eagerly zeroed moments, in plain NumPy, as the reference
+    ref = {"w": w0.copy(), "b": b0.copy()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=a.shape) for k, a in ref.items()}
+        adam_update(params, {k: Tensor(g) for k, g in grads.items()}, lr)
+        c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for k, g in grads.items():
+            m[k] *= beta1
+            m[k] += (1.0 - beta1) * g
+            v[k] *= beta2
+            v[k] += (1.0 - beta2) * (g * g)
+            ref[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+    for k in ref:
+        assert np.array_equal(params[k].data.view(np.int64), ref[k].view(np.int64)), k
+        got_m, got_v = params.moment_state(k)
+        assert np.array_equal(got_m, m[k]) and np.array_equal(got_v, v[k]), k
 
 
 def test_adam_rejects_key_mismatch():

@@ -1,6 +1,7 @@
 """Text checkpoint format: exact round trips and strict parsing."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,11 @@ MALFORMED = [
     ("LCDCKPT 1\ntensor w 2\n2 \u0661\u0662\n", ":3: non-numeric value in tensor 'w'"),
     # NaN sends the block to the line-by-line parse, which reads on to line 4
     ("LCDCKPT 1\ntensor w 2\nnan 2\ntensor\n", ":4: expected 'tensor <name> <dims>', got 'tensor'"),
+    # more values than the whole file could hold: no buffer of that size
+    ("LCDCKPT 1\ntensor w 99999999999999\n1 2\n", ":3: tensor 'w' ends early (2 of 99999999999999 values)"),
+    # lines end wherever str.splitlines ends them
+    ("LCDCKPT 1\r\ntensor w 2\r1\x85junk\n", ":4: non-numeric value in tensor 'w'"),
+    ("LCDCKPT 1\ntensor w 2\n1\x0b\x0c2 3\n", ":5: tensor 'w' holds 3 values, shape needs 2"),
 ]
 
 
@@ -176,6 +182,20 @@ def test_malformed_files_name_file_and_line(tmp_path, text, suffix):
         load_checkpoint(path)
     assert str(info.value) == f"{path}{suffix}"
 
+
+def test_load_holds_one_line_of_text_beside_the_tensor(tmp_path):
+    # the whole file's text, its list of lines and a joined block were 6x
+    w = np.random.default_rng(5).normal(size=(64, 4096))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, {"w": w})
+    tracemalloc.start()
+    try:
+        values = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values["w"], w)
+    assert peak < 2 * w.nbytes, f"peak {peak / w.nbytes:.2f}x the tensor"
 
 
 _FUZZ_TENSORS = {

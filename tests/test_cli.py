@@ -48,6 +48,14 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_gen_data_rejects_bad_noise(tmp_path, capsys, value):
+    out = tmp_path / "x"
+    assert main(["gen-data", "--noise", value, "--count", "1", "--points", "16", "--out", str(out)]) == 1
+    assert "noise_std must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_rejects_unknown_family(tmp_path, capsys):
     assert main(["gen-data", "--families", "klein", "--out", str(tmp_path / "x")]) == 1
     assert "klein" in capsys.readouterr().err

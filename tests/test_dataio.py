@@ -48,6 +48,9 @@ def test_gen_shapes_validates_arguments():
         gen_shapes(("pyramid",), count=4, points=16)
     with pytest.raises(ValueError):
         gen_shapes(("sphere",), count=4, points=16, noise_std=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
+            gen_shapes(("sphere",), count=1, points=16, noise_std=bad)
 
 
 def test_clouds_are_normalized_and_mirror_symmetric():

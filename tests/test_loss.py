@@ -295,6 +295,9 @@ def test_adversarial_loss_oracle_and_guards():
         adversarial_loss(tensor(np.array([-0.5])), sigma_r=1e-8)
     with pytest.raises(ValueError):
         adversarial_loss(tensor(np.array([0.5])), sigma_r=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma_r must be finite and > 0"):
+            adversarial_loss(1.0, bad)
     # larger reconstruction error means smaller adversarial objective
     lo = adversarial_loss(tensor(np.array([0.1])), sigma_r=1e-8).item()
     hi = adversarial_loss(tensor(np.array([0.9])), sigma_r=1e-8).item()

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,38 @@ def test_evaluate_names_the_cloud_with_nonfinite_reconstruction():
     ds = gen_shapes(("cube", "sphere"), count=2, points=16, seed=4)
     with pytest.raises(ValueError, match=r"held-out cloud 0 \(cube\) has non-finite coordinates"):
         evaluate(recon, ds)
+
+
+def test_evaluate_in_chunks_equals_one_stacked_reconstruction(monkeypatch):
+    recon = init_recon_params(seed=6, n_points=256)
+    ds = gen_shapes(("sphere", "cube", "torus"), count=5, points=256, seed=7)
+    out = reconstruct(ad.tensor(np.concatenate(ds.clouds)), recon, 256).data
+    sums = {}
+    for k, label in enumerate(ds.labels):
+        rec = out[k * 256 : (k + 1) * 256]
+        vals = np.array([chamfer(ds.clouds[k], rec), mcd(ds.clouds[k], rec), hausdorff(ds.clouds[k], rec)])
+        sums[label] = sums.get(label, 0.0) + vals
+    want = sum(sums.values()) / len(ds)
+    for rows in (trainer.EVAL_CHUNK_ROWS, 2 * 256 + 255, 1):  # chunks of 5; 2, 2, 1; 1 each
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_ROWS", rows)
+        ev = evaluate(recon, ds)
+        assert (ev.cd, ev.mcd, ev.hd) == tuple(float(x) for x in want), rows
+        assert ev.per_family["torus"].cd == float(sums["torus"][0])
+
+
+def test_evaluate_memory_does_not_grow_with_the_cloud_count():
+    # one stacked encoder pass held a 128-wide activation of every point
+    recon = init_recon_params(seed=8, n_points=512)
+    peaks = []
+    for count in (8, 32):
+        ds = gen_shapes(("sphere", "cube"), count=count, points=512, seed=9)
+        tracemalloc.start()
+        try:
+            evaluate(recon, ds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
 def test_run_records_and_files(tmp_path):
