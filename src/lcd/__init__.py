@@ -39,7 +39,7 @@ from .dataio import (
     save_xyz,
     train_eval_split,
 )
-from .geometry import KdTree, Matching, chamfer, fps, hausdorff, mcd, nn_match, pair_metrics
+from .geometry import KdTree, Matching, chamfer, fps, hausdorff, mcd, nn_match, nn_match_stacked, pair_metrics
 from .lcdloss import (
     LcdResult,
     adversarial_loss,
@@ -77,6 +77,7 @@ __all__ = [
     "Matching",
     "KdTree",
     "nn_match",
+    "nn_match_stacked",
     "chamfer",
     "hausdorff",
     "fps",

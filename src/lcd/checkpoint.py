@@ -19,6 +19,7 @@ array, so neither holds more than one line of the file's text.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import warnings
@@ -59,7 +60,8 @@ def save_checkpoint(path, source: ParamSet | Mapping[str, np.ndarray]) -> Path:
             a = arrays[name]
             dims = ",".join(str(d) for d in a.shape)
             f.write(f"tensor {name} {dims if dims else 'scalar'}\n")
-            rows = a.reshape(1, -1) if a.ndim < 2 else a.reshape(-1, a.shape[-1])
+            # an explicit row count: -1 cannot be inferred when the last axis is 0
+            rows = a.reshape(1, -1) if a.ndim < 2 else a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
             for row in rows:
                 f.write(" ".join("%.17g" % v for v in row) + "\n")
     return path

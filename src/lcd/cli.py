@@ -58,7 +58,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-r", type=float, default=d.sigma_r, help="log offset in the adversarial objective")
     p.add_argument("--eval-interval", type=int, default=d.eval_interval, help="iterations between metric rows")
     p.add_argument("--eval-fraction", type=float, default=d.eval_fraction, help="held-out fraction")
-    p.add_argument("--backend", choices=("brute", "kdtree"), default=d.backend, help="matching backend")
     p.add_argument("--squared", action="store_true", help="average squared matched distances")
     p.add_argument("--timing-csv", action="store_true", help="fill ms_per_step in the CSV (breaks byte determinism)")
 
@@ -82,7 +81,6 @@ def _config_from(args) -> TrainConfig:
         sigma_r=args.sigma_r,
         eval_interval=args.eval_interval,
         eval_fraction=args.eval_fraction,
-        backend=args.backend,
         squared=args.squared,
         out=args.out,
         timing_csv=args.timing_csv,

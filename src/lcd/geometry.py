@@ -4,18 +4,23 @@ Two matching backends are provided: a brute-force scan and a kd-tree.
 Both return the squared distance of the explicit form (sum of squared
 coordinate differences) and break ties toward the lowest reference
 index, so their outputs are bit-identical. The scan finds candidates
-with the expanded form |q|^2 + |r|^2 - 2 q.r, one small single-threaded
-GEMM per chunk of query rows, then re-checks only the candidates with the
-explicit form. The candidate set provably holds every exact minimizer
-(the bound is derived in ``_match_brute``), so the expansion never
-changes a result, and memory stays O(n_query + n_ref). The scan is faster at every size
-measured: :class:`KdTree` is the exactness oracle for the scan
+with the expanded form |q|^2 + |r|^2 - 2 q.r, one small GEMM per chunk of
+query rows, each small enough for OpenBLAS to run it on the calling
+thread, then re-checks only the candidates with the explicit form. The
+candidate set provably holds every exact minimizer (the bound is derived
+in ``_match_brute``), so the expansion never changes a result. A row's
+argmin and second minimum tell whether the argmin is its only candidate,
+so only rows with several candidates scan their whole row for them.
+Memory stays O(n_query + n_ref + one chunk). The scan is faster at every
+size measured: :class:`KdTree` is the exactness oracle for the scan
 (acceptance criterion 4), not a speed-up.
 
-Distances returned by :func:`nn_match` are squared. The metric functions
-take square roots where their definitions need Euclidean lengths.
-:func:`pair_metrics` gives chamfer, mcd and hausdorff of one pair from
-a single matching in each direction.
+:func:`nn_match` matches one pair of clouds; :func:`nn_match_stacked`
+runs the same scan over B pairs stacked as blocks of rows, in one call,
+as the loss needs at every training step. Distances returned by both are
+squared. The metric functions take square roots where their definitions
+need Euclidean lengths. :func:`pair_metrics` gives chamfer, mcd and
+hausdorff of one pair from a single matching in each direction.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "KdTree",
     "validate_cloud",
     "nn_match",
+    "nn_match_stacked",
     "chamfer",
     "hausdorff",
     "fps",
@@ -66,24 +72,28 @@ class Matching:
     sq_dists: np.ndarray
 
 
-_GEMM_SIZE = 1 << 15  # query rows x references per GEMM, see _match_brute
+_GEMM_MNK = 1 << 18  # OpenBLAS runs a GEMM with m n k below this on the calling thread
+_AUG = 5  # width of the augmented rows: the GEMM's k
 _SLACK = 32 * np.finfo(np.float64).eps  # c * eps in the candidate bound delta
 _TINY = np.finfo(np.float64).tiny  # absorbs underflow in delta, see _match_brute
 
 
-def _match_brute(query: np.ndarray, ref: np.ndarray) -> Matching:
-    """Exact nearest neighbors in two stages: GEMM candidates, explicit re-check.
+def _match_brute(query: np.ndarray, ref: np.ndarray, n_query: int, n_ref: int) -> Matching:
+    """Exact nearest neighbors within B stacked pairs: GEMM candidates, explicit re-check.
 
-    Stage 1 centres both clouds on the reference mean mu (q' = q - mu,
+    Pair p matches query rows [p n_query, (p + 1) n_query) against reference
+    rows [p n_ref, (p + 1) n_ref); indices are rows of the stacked ``ref``.
+
+    Stage 1 centres each pair on its reference mean mu (q' = q - mu,
     r' = r - mu) and computes the expanded squared distance
-    g = |q'|^2 + |r'|^2 - 2 q'.r' for a chunk of query rows as one GEMM of
-    augmented rows, [q', 1, |q'|^2] . [-2 r', |r'|^2, 1]^T. A chunk holds
-    _GEMM_SIZE // n_ref rows (at least one), so g fits in L2 cache and the
-    GEMM stays below OpenBLAS's default cut-off for threading, m n k = 2^18,
-    and runs on the calling thread. Threaded 256-row chunks were no faster
-    on 2 cores, kept a BLAS worker thread spinning between calls, and each
-    waited for both threads: with the other core busy, a 2048-point match
-    took 2.5x as long (1.2x with these chunks). Stage 2
+    g = |q'|^2 + |r'|^2 - 2 q'.r' for a chunk of one pair's query rows as
+    one GEMM of augmented rows, [q', 1, |q'|^2] . [-2 r', |r'|^2, 1]^T. A
+    chunk holds the most rows (at least one) that keep m n k below
+    OpenBLAS's cut-off for threading, 2^18: 25 rows at n_ref = 2048, 204 at
+    256. So each GEMM runs on the calling thread, and g fits in L2 cache.
+    Threaded 256-row chunks were no faster on 2 cores, kept a BLAS worker
+    thread spinning between calls, and each waited for both threads: with
+    the other core busy, a 2048-point match took 2.5x as long. Stage 2
     recomputes the explicit form e = sum((q - r)^2) on the original
     coordinates, with the same einsum as :class:`KdTree`, for candidates
     only, and takes the first minimum in (e, reference index) order.
@@ -114,40 +124,74 @@ def _match_brute(query: np.ndarray, ref: np.ndarray) -> Matching:
     and all its ties, and the re-check returns the brute scan's exact
     result: same index, same squared distance, lowest index on ties.
     Rows where g or delta is not finite keep every reference.
+
+    How the candidates are found without scanning every entry. A row's
+    candidates are the j with not g_j > thr, where thr = g_a + 2 delta and
+    a is the row's argmin. A NaN in the row is its argmin, so thr is NaN
+    and every j is a candidate, as every j is when thr is +inf. With g_a
+    masked out to +inf, a second argmin gives the row's second minimum m2,
+    and m2 > thr holds exactly when a is the only candidate (a comparison
+    with NaN is false, and nothing exceeds +inf). Such a row goes straight
+    to the re-check with a alone. Every other row restores g_a and keeps
+    the full-row scan, in which a is a candidate again. Either way a row's
+    candidate set is exactly that of a scan of every entry of the same g.
+    Nor does the result depend on how g is rounded: GEMMs of other chunk
+    sizes or operand layouts round g differently, but the bound holds in
+    any summation order, so the re-check returns the same index and
+    squared distance to the bit.
     """
-    n_ref = len(ref)
-    mu = ref.mean(axis=0)
-    rc = ref - mu
-    r_norm = np.einsum("ij,ij->i", rc, rc)
-    r_aug = np.column_stack([-2.0 * rc, r_norm, np.ones(n_ref)]).T
-    qc = query - mu
+    pairs = len(query) // n_query
+    mu = ref.reshape(pairs, n_ref, 3).mean(axis=1, keepdims=True)
+    rc = ref.reshape(pairs, n_ref, 3) - mu
+    r_norm = np.einsum("pij,pij->pi", rc, rc)
+    # each pair's right operand is a C-ordered (5, n_ref) block: the GEMM
+    # took 1.3-1.5x as long on a transposed (n_ref, 5) one
+    r_aug = np.empty((pairs, _AUG, n_ref))
+    r_aug[:, :3] = -2.0 * rc.transpose(0, 2, 1)
+    r_aug[:, 3] = r_norm
+    r_aug[:, 4] = 1.0
+    qc = (query.reshape(pairs, n_query, 3) - mu).reshape(-1, 3)
     q_norm = np.einsum("ij,ij->i", qc, qc)
     q_aug = np.column_stack([qc, np.ones(len(query)), q_norm])
-    slack = 2.0 * _SLACK * ((np.sqrt(q_norm) + np.sqrt(r_norm.max())) ** 2 + _TINY)
-    step = max(1, _GEMM_SIZE // n_ref)
-    indices = np.empty(len(query), dtype=np.int64)
-    sq_dists = np.empty(len(query))
-    for start in range(0, len(query), step):
-        stop = min(start + step, len(query))
-        g = q_aug[start:stop] @ r_aug
-        # flat indices of the 2-D mask; NaN or inf in a row keeps the whole row
-        flat = np.flatnonzero(~(g > (g.min(axis=1) + slack[start:stop])[:, None]))
-        if len(flat) == stop - start:  # every row has one candidate, rows in order
-            cols = flat - np.arange(0, len(flat) * n_ref, n_ref)
-            diff = query[start:stop] - ref[cols]
-            indices[start:stop] = cols
-            sq_dists[start:stop] = np.einsum("ij,ij->i", diff, diff)
-            continue
-        rows, cols = np.divmod(flat, n_ref)
-        diff = query[start + rows] - ref[cols]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        # rows come out ascending with cols ascending inside each row, so a
-        # stable sort by (row, d2) puts each row's lowest-index minimum first
-        order = np.lexsort((d2, rows))
-        first = order[np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])]
-        indices[start:stop] = cols[first]
-        sq_dists[start:stop] = d2[first]
-    return Matching(indices, sq_dists)
+    r_max = np.repeat(np.sqrt(r_norm.max(axis=1)), n_query)
+    slack = 2.0 * _SLACK * ((np.sqrt(q_norm) + r_max) ** 2 + _TINY)
+    step = min(n_query, max(1, (_GEMM_MNK - 1) // (_AUG * n_ref)))
+    all_rows = np.arange(step)
+    cols_of = np.empty(len(query), dtype=np.int64)  # winners, as rows of their pair's ref
+    for p in range(pairs):
+        ref_p = ref[p * n_ref : (p + 1) * n_ref]
+        for start in range(p * n_query, (p + 1) * n_query, step):
+            stop = min(start + step, (p + 1) * n_query)
+            rows = all_rows[: stop - start]
+            g = q_aug[start:stop] @ r_aug[p]
+            cols = g.argmin(axis=1)
+            g_min = g[rows, cols]
+            thr = g_min + slack[start:stop]
+            g[rows, cols] = np.inf
+            single = g[rows, g.argmin(axis=1)] > thr
+            if not single.all():
+                shared = np.flatnonzero(~single)
+                g[shared, cols[shared]] = g_min[shared]
+                cols[shared] = _first_minima(query[start:stop], ref_p, g[shared], thr[shared], shared)
+            cols_of[start:stop] = cols
+    indices = cols_of + np.repeat(np.arange(pairs) * n_ref, n_query)
+    diff = query - ref[indices]
+    return Matching(indices, np.einsum("ij,ij->i", diff, diff))
+
+
+def _first_minima(query, ref, g, thr, rows) -> np.ndarray:
+    """Each listed row's lowest-index exact minimizer among its candidates.
+
+    ``g`` and ``thr`` hold the listed ``rows`` of ``query``; the candidates
+    of a row are the j with not g_j > thr, so a NaN keeps every reference.
+    """
+    r, cols = np.divmod(np.flatnonzero(~(g > thr[:, None])), len(ref))
+    diff = query[rows[r]] - ref[cols]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    # r comes out ascending with cols ascending inside each row, so a
+    # stable sort by (row, d2) puts each row's lowest-index minimum first
+    order = np.lexsort((d2, r))
+    return cols[order[np.flatnonzero(np.r_[True, r[1:] != r[:-1]])]]
 
 
 class KdTree:
@@ -229,10 +273,27 @@ def nn_match(query, ref, backend: str = "brute") -> Matching:
     q = validate_cloud(query, "query")
     r = validate_cloud(ref, "reference")
     if backend == "brute":
-        return _match_brute(q, r)
+        return _match_brute(q, r, len(q), len(r))
     if backend == "kdtree":
         return KdTree(r).query(q)
     raise ValueError(f"unknown matching backend {backend!r}")
+
+
+def nn_match_stacked(query, ref, n_query: int, n_ref: int) -> Matching:
+    """:func:`nn_match` of B cloud pairs stacked as B blocks of rows, in one call.
+
+    ``query`` holds B consecutive clouds of ``n_query`` points and ``ref``
+    B of ``n_ref``; block p of ``query`` is matched against block p of
+    ``ref``. Indices are rows of the stacked ``ref``. Every pair's result
+    equals ``nn_match`` of that pair's blocks to the bit.
+    """
+    q = validate_cloud(query, "query")
+    r = validate_cloud(ref, "reference")
+    if not (n_query >= 1 and n_ref >= 1 and len(q) % n_query == 0 and len(r) % n_ref == 0):
+        raise ValueError(f"nn_match_stacked: {len(q)} and {len(r)} rows do not split into {n_query} and {n_ref}")
+    if len(q) // n_query != len(r) // n_ref:
+        raise ValueError("nn_match_stacked: the two sides hold different numbers of clouds")
+    return _match_brute(q, r, n_query, n_ref)
 
 
 def _mean_nn_dist(fwd: np.ndarray, rev: np.ndarray, squared: bool = False) -> float:

@@ -21,8 +21,9 @@ the distances and the weights.
 
 Batching: clouds may be stacked as one (B*n, 3) matrix of B consecutive
 n-point blocks; the ``size`` arguments give n. Per-point layers then run
-as single large matrix products. The default (size = full row count)
-treats the input as one cloud.
+as single large matrix products, and the matching as one
+:func:`~lcd.geometry.nn_match_stacked` call per direction. The default
+(size = full row count) treats the input as one cloud.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .geometry import nn_match
+from .geometry import nn_match_stacked
 
 __all__ = [
     "DEFAULT_FEAT_WIDTHS",
@@ -210,16 +211,6 @@ class LcdResult:
     match_out: np.ndarray
 
 
-def _matched_indices(a: np.ndarray, b: np.ndarray, n_a: int, n_b: int, backend: str) -> np.ndarray:
-    """Per-pair nearest-neighbor indices of a's rows among b's, stacked frame."""
-    pairs = a.shape[0] // n_a
-    out = np.empty(a.shape[0], dtype=np.int64)
-    for p in range(pairs):
-        m = nn_match(a[p * n_a : (p + 1) * n_a], b[p * n_b : (p + 1) * n_b], backend)
-        out[p * n_a : (p + 1) * n_a] = m.indices + p * n_b
-    return out
-
-
 def _matched_dists(query: Tensor, ref: Tensor, idx: np.ndarray, squared: bool) -> Tensor:
     diff = query - ad.gather_rows(ref, idx)
     d2 = ad.row_sum(ad.square(diff))
@@ -238,7 +229,6 @@ def lcd_forward(
     size_i: int | None = None,
     size_o: int | None = None,
     squared: bool = False,
-    backend: str = "brute",
 ) -> LcdResult:
     """Weighted symmetric matching loss between input and output clouds.
 
@@ -264,8 +254,8 @@ def lcd_forward(
         w_i = normalize_weights(siaatt(s_i, pair_feats, params, n_i), sigma, n_i)
         w_o = normalize_weights(siaatt(s_o, pair_feats, params, n_o), sigma, n_o)
 
-    match_in = _matched_indices(s_i.data, s_o.data, n_i, n_o, backend)
-    match_out = _matched_indices(s_o.data, s_i.data, n_o, n_i, backend)
+    match_in = nn_match_stacked(s_i.data, s_o.data, n_i, n_o).indices
+    match_out = nn_match_stacked(s_o.data, s_i.data, n_o, n_i).indices
     d_i = _matched_dists(s_i, s_o, match_in, squared)
     d_o = _matched_dists(s_o, s_i, match_out, squared)
 

@@ -82,7 +82,6 @@ class TrainConfig:
     sigma_r: float = 1e-8
     eval_interval: int = 50
     eval_fraction: float = 0.1
-    backend: str = "brute"
     squared: bool = False
     enc_widths: tuple = reconnet.DEFAULT_ENC_WIDTHS
     dec_widths: tuple = reconnet.DEFAULT_DEC_WIDTHS
@@ -113,8 +112,6 @@ class TrainConfig:
             raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError(f"eval_fraction must lie in (0, 1), got {self.eval_fraction}")
-        if self.backend not in ("brute", "kdtree"):
-            raise ValueError(f"backend must be brute or kdtree, got {self.backend!r}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not self.families:
@@ -220,7 +217,6 @@ def train_step(
             n_i,
             reconnet.output_points(recon_params),
             config.squared,
-            config.backend,
         ).loss
     l_r_logged = l_r.item()
     _check_finite(l_r_logged, iteration, "reconstruction", batch, param_ctx)
@@ -410,7 +406,7 @@ def run(config: TrainConfig) -> RunResult:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     records: list[MetricsRecord] = []
-    ev = evaluate(recon_params, eval_set, config.backend)
+    ev = evaluate(recon_params, eval_set)
     records.append(MetricsRecord(0, cd=ev.cd, mcd=ev.mcd, hd=ev.hd))
 
     try:
@@ -421,7 +417,7 @@ def run(config: TrainConfig) -> RunResult:
             batch = [train_set.clouds[i] for i in idx]
             rec = train_step(batch, lcd_params, recon_params, config)
             if it % config.eval_interval == 0 or it == config.iters:
-                ev = evaluate(recon_params, eval_set, config.backend)
+                ev = evaluate(recon_params, eval_set)
                 rec.cd, rec.mcd, rec.hd = ev.cd, ev.mcd, ev.hd
                 records.append(rec)
     except TrainingDiverged as err:

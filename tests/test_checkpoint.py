@@ -1,5 +1,6 @@
 """Text checkpoint format: exact round trips and strict parsing."""
 
+import math
 import re
 import tracemalloc
 
@@ -122,6 +123,17 @@ def test_scalar_and_vector_tensors_round_trip(tmp_path):
     params.add("s", np.array(2.5))
     save_checkpoint(path, params)
     assert load_checkpoint(path)["s"].shape == (1,)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0,), (), (2, 3, 0), (0, 2, 3)])
+def test_empty_and_scalar_tensors_round_trip(tmp_path, shape):
+    path = tmp_path / "ckpt.txt"
+    value = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+    save_checkpoint(path, {"a": value, "b": np.array([7.0])})  # "b" is written after "a"
+    values = load_checkpoint(path)
+    assert values["a"].shape == shape
+    assert np.array_equal(values["a"], value)
+    assert values["b"].tolist() == [7.0]
 
 
 def test_missing_file_raises_oserror(tmp_path):

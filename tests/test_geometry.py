@@ -12,6 +12,7 @@ from lcd.geometry import (
     hausdorff,
     mcd,
     nn_match,
+    nn_match_stacked,
     validate_cloud,
 )
 
@@ -97,6 +98,22 @@ def test_nn_match_memory_is_bounded_at_4096_points():
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert m.indices.shape == (4096,)
+
+
+def test_nn_match_stacked_memory_is_one_chunk_beside_the_rows():
+    # 16 pairs of 1024 points: one pair's distance matrix alone is 8 MiB,
+    # and a chunk holds less than 2^18 / 5 of its entries, 0.4 MiB
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(16 * 1024, 3))
+    r = rng.normal(size=(16 * 1024, 3))
+    tracemalloc.start()
+    try:
+        m = nn_match_stacked(q, r, 1024, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert m.indices.shape == (16 * 1024,)
 
 
 def test_nn_match_rejects_unknown_backend():

@@ -1,12 +1,14 @@
 """Property tests: the matcher, fps and the one-matching pair metrics.
 
 The oracles here are the plain definitions: an explicit all-pairs
-difference scan, the kd-tree, an fps loop over (n, 3) rows with einsum,
-one fps call per scale, and the public metric functions called one by
-one. Equality is to the bit.
+difference scan, the kd-tree (one query per pair for the stacked
+matcher), an fps loop over (n, 3) rows with einsum, one fps call per
+scale, and the public metric functions called one by one. Equality is to
+the bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,6 +21,7 @@ from lcd.geometry import (
     hausdorff,
     mcd,
     nn_match,
+    nn_match_stacked,
     pair_metrics,
 )
 from lcd.dataio import gen_shapes
@@ -92,6 +95,116 @@ def test_matcher_is_exact_with_one_query_row_per_chunk():
     assert list(m.indices[:2]) == [7, 7]
     assert np.array_equal(m.indices, want_idx)
     assert np.array_equal(m.sq_dists.view(np.int64), want_d2.view(np.int64))
+
+
+@st.composite
+def stacked_pairs(draw, max_points=24):
+    grid = draw(st.booleans())
+    pairs = draw(st.integers(1, 4))
+    n_a, n_b = draw(st.lists(st.integers(1, max_points), min_size=2, max_size=2, unique=True))
+    a = [_cloud(draw, n_a, grid) for _ in range(pairs)]
+    if draw(st.booleans()):
+        # each b cloud repeats points of its a cloud: zero distances and duplicates
+        b = [block[draw(arrays(np.int64, n_b, elements=st.integers(0, n_a - 1)))] for block in a]
+    else:
+        b = [_cloud(draw, n_b, grid) for _ in range(pairs)]
+    # a scale and an offset per pair: each pair needs its own centre and bound
+    scales = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(pairs)]
+    offsets = [draw(arrays(np.float64, 3, elements=st.floats(-1e4, 1e4))) for _ in range(pairs)]
+    a = [c * s + o for c, s, o in zip(a, scales, offsets)]
+    b = [c * s + o for c, s, o in zip(b, scales, offsets)]
+    return a, b
+
+
+def _assert_stacked_equals_kdtree(query_blocks, ref_blocks):
+    n_q, n_r = len(query_blocks[0]), len(ref_blocks[0])
+    m = nn_match_stacked(np.concatenate(query_blocks), np.concatenate(ref_blocks), n_q, n_r)
+    for p, (q, r) in enumerate(zip(query_blocks, ref_blocks)):
+        want = KdTree(r).query(q)
+        rows = slice(p * n_q, (p + 1) * n_q)
+        assert np.array_equal(m.indices[rows], want.indices + p * n_r), p
+        assert np.array_equal(m.sq_dists[rows].view(np.int64), want.sq_dists.view(np.int64)), p
+
+
+@PROPERTY
+@given(stacked_pairs())
+@example(([np.zeros((1, 3))], [np.array([[1.0, 0, 0], [-1.0, 0, 0]])]))
+@example(([np.ones((2, 3)), np.zeros((2, 3))], [np.ones((1, 3)), np.ones((1, 3))]))
+def test_stacked_matcher_equals_a_kdtree_per_pair_both_ways(pairs):
+    a, b = pairs
+    _assert_stacked_equals_kdtree(a, b)
+    _assert_stacked_equals_kdtree(b, a)
+
+
+def test_stacked_matcher_sizes_the_bound_per_pair():
+    # pair 1's queries sit at its reference mean, 1e3 from 64 references
+    # whose distances agree to about the GEMM's rounding, so many of them
+    # are candidates; a bound sized by pair 0's max|r'|, 1e-3, would keep
+    # only the GEMM's own minimum, which is often not the exact one
+    rng = np.random.default_rng(15)
+    small = rng.normal(size=(64, 3)) * 1e-3
+    u = rng.normal(size=(32, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    ref = np.concatenate([u, -u]) * 1e3
+    query = np.concatenate([np.zeros((8, 3)), rng.normal(size=(56, 3)) * 1e-12])
+    _assert_stacked_equals_kdtree([small, query], [small[::-1], ref])
+    _assert_stacked_equals_kdtree([query, small], [ref, small[::-1]])
+
+
+def test_stacked_matcher_rejects_blocks_that_do_not_pair_up():
+    with pytest.raises(ValueError, match="do not split"):
+        nn_match_stacked(np.zeros((6, 3)), np.zeros((4, 3)), 4, 2)
+    with pytest.raises(ValueError, match="different numbers of clouds"):
+        nn_match_stacked(np.zeros((6, 3)), np.zeros((4, 3)), 3, 1)
+
+
+def test_matcher_resolves_near_ties_in_a_chunk_of_single_candidates():
+    # eight references within 1e-15 of each other, seen from about 1 away:
+    # their expanded distances lie within the candidate bound, so those rows
+    # take the full-row re-check, while the other rows of the same chunk,
+    # each on top of one distant reference, have one candidate each
+    rng = np.random.default_rng(12)
+    cluster = np.array([1.0, 0.0, 0.0]) + rng.normal(size=(8, 3)) * 1e-15
+    far = 5.0 + rng.random((40, 3))
+    ref = np.concatenate([far[:20], cluster, far[20:]])
+    query = np.concatenate([rng.normal(size=(6, 3)) * 1e-3, far + rng.normal(size=(40, 3)) * 1e-6])
+    want_idx, want_d2 = _explicit_match(query, ref)
+    m = nn_match(query, ref)
+    assert set(m.indices[:6].tolist()) <= set(range(20, 28))
+    assert np.array_equal(m.indices, want_idx)
+    assert np.array_equal(m.sq_dists.view(np.int64), want_d2.view(np.int64))
+
+
+@pytest.mark.parametrize("scale", [1e150, 8e153, 1.2e154])
+def test_matcher_is_exact_where_the_candidate_bound_is_not_finite(scale):
+    # at 1e150 every bound is finite; at 8e153 and beyond, the bound's
+    # (|q'| + max|r'|)^2 and the GEMM's sums overflow, so thr is inf or NaN:
+    # such rows keep every reference, and the re-check still finds the
+    # finite nearest distance
+    corners = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
+    rng = np.random.default_rng(13)
+    ref = corners * scale
+    query = np.concatenate([corners[::-1], corners + rng.normal(size=(6, 3)) * 1e-3]) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_idx, want_d2 = _explicit_match(query, ref)
+        m = nn_match(query, ref)
+        pieces = nn_match_stacked(np.concatenate([query, query[::-1]]), np.concatenate([ref, ref[::-1]]), 12, 6)
+    assert np.array_equal(m.indices, want_idx)
+    assert np.array_equal(m.sq_dists.view(np.int64), want_d2.view(np.int64))
+    assert np.array_equal(pieces.indices[:12], want_idx)
+
+
+def test_matcher_with_one_reference_point():
+    rng = np.random.default_rng(14)
+    query = rng.normal(size=(30, 3))
+    for ref in (np.zeros((1, 3)), query[[17]], np.full((1, 3), 1e154)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_idx, want_d2 = _explicit_match(query, ref)
+            m = nn_match(query, ref)
+            stacked = nn_match_stacked(np.concatenate([query, query]), np.concatenate([ref, ref + 1.0]), 30, 1)
+        assert m.indices.tolist() == [0] * 30
+        assert np.array_equal(m.sq_dists.view(np.int64), want_d2.view(np.int64))
+        assert stacked.indices.tolist() == [0] * 30 + [1] * 30
 
 
 @PROPERTY

@@ -66,7 +66,6 @@ def test_validate_rejects_bad_fields():
         dict(eval_interval=0),
         dict(eval_fraction=0.0),
         dict(eval_fraction=1.0),
-        dict(backend="octree"),
         dict(noise_std=-0.1),
         dict(families=()),
     ]
