@@ -40,6 +40,7 @@ from .dataio import (
     train_eval_split,
 )
 from .geometry import KdTree, Matching, chamfer, fps, hausdorff, mcd, nn_match, nn_match_stacked, pair_metrics
+from .geometry import pair_metrics_stacked
 from .lcdloss import (
     LcdResult,
     adversarial_loss,
@@ -83,6 +84,7 @@ __all__ = [
     "fps",
     "mcd",
     "pair_metrics",
+    "pair_metrics_stacked",
     "LcdResult",
     "init_lcd_params",
     "siacon",

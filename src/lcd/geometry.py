@@ -19,8 +19,13 @@ size measured: :class:`KdTree` is the exactness oracle for the scan
 runs the same scan over B pairs stacked as blocks of rows, in one call,
 as the loss needs at every training step. Distances returned by both are
 squared. The metric functions take square roots where their definitions
-need Euclidean lengths. :func:`pair_metrics` gives chamfer, mcd and
-hausdorff of one pair from a single matching in each direction.
+need Euclidean lengths. :func:`pair_metrics_stacked` gives chamfer, mcd
+and hausdorff of B stacked pairs, as evaluation needs: one stacked
+matching per direction at each mcd scale, and one farthest-point
+traversal that moves every equal-size cloud forward at once.
+:func:`pair_metrics` and :func:`mcd` are its one-pair cases and
+:func:`fps` the traversal's one-cloud case, so each value equals the
+stacked one to the bit.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "fps",
     "mcd",
     "pair_metrics",
+    "pair_metrics_stacked",
     "DEFAULT_MCD_SCALES",
 ]
 
@@ -140,43 +146,47 @@ def _match_brute(query: np.ndarray, ref: np.ndarray, n_query: int, n_ref: int) -
     any summation order, so the re-check returns the same index and
     squared distance to the bit.
     """
-    pairs = len(query) // n_query
-    mu = ref.reshape(pairs, n_ref, 3).mean(axis=1, keepdims=True)
-    rc = ref.reshape(pairs, n_ref, 3) - mu
-    r_norm = np.einsum("pij,pij->pi", rc, rc)
-    # each pair's right operand is a C-ordered (5, n_ref) block: the GEMM
-    # took 1.3-1.5x as long on a transposed (n_ref, 5) one
-    r_aug = np.empty((pairs, _AUG, n_ref))
-    r_aug[:, :3] = -2.0 * rc.transpose(0, 2, 1)
-    r_aug[:, 3] = r_norm
-    r_aug[:, 4] = 1.0
-    qc = (query.reshape(pairs, n_query, 3) - mu).reshape(-1, 3)
-    q_norm = np.einsum("ij,ij->i", qc, qc)
-    q_aug = np.column_stack([qc, np.ones(len(query)), q_norm])
-    r_max = np.repeat(np.sqrt(r_norm.max(axis=1)), n_query)
-    slack = 2.0 * _SLACK * ((np.sqrt(q_norm) + r_max) ** 2 + _TINY)
-    step = min(n_query, max(1, (_GEMM_MNK - 1) // (_AUG * n_ref)))
-    all_rows = np.arange(step)
-    cols_of = np.empty(len(query), dtype=np.int64)  # winners, as rows of their pair's ref
-    for p in range(pairs):
-        ref_p = ref[p * n_ref : (p + 1) * n_ref]
-        for start in range(p * n_query, (p + 1) * n_query, step):
-            stop = min(start + step, (p + 1) * n_query)
-            rows = all_rows[: stop - start]
-            g = q_aug[start:stop] @ r_aug[p]
-            cols = g.argmin(axis=1)
-            g_min = g[rows, cols]
-            thr = g_min + slack[start:stop]
-            g[rows, cols] = np.inf
-            single = g[rows, g.argmin(axis=1)] > thr
-            if not single.all():
-                shared = np.flatnonzero(~single)
-                g[shared, cols[shared]] = g_min[shared]
-                cols[shared] = _first_minima(query[start:stop], ref_p, g[shared], thr[shared], shared)
-            cols_of[start:stop] = cols
-    indices = cols_of + np.repeat(np.arange(pairs) * n_ref, n_query)
-    diff = query - ref[indices]
-    return Matching(indices, np.einsum("ij,ij->i", diff, diff))
+    # past about 1e154 the bound and the GEMM overflow to inf or NaN, and such
+    # rows keep every reference; past about 9e307 the centring and the
+    # differences overflow too: none of it is an error, as in fps
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = len(query) // n_query
+        mu = ref.reshape(pairs, n_ref, 3).mean(axis=1, keepdims=True)
+        rc = ref.reshape(pairs, n_ref, 3) - mu
+        r_norm = np.einsum("pij,pij->pi", rc, rc)
+        # each pair's right operand is a C-ordered (5, n_ref) block: the GEMM
+        # took 1.3-1.5x as long on a transposed (n_ref, 5) one
+        r_aug = np.empty((pairs, _AUG, n_ref))
+        r_aug[:, :3] = -2.0 * rc.transpose(0, 2, 1)
+        r_aug[:, 3] = r_norm
+        r_aug[:, 4] = 1.0
+        qc = (query.reshape(pairs, n_query, 3) - mu).reshape(-1, 3)
+        q_norm = np.einsum("ij,ij->i", qc, qc)
+        q_aug = np.column_stack([qc, np.ones(len(query)), q_norm])
+        r_max = np.repeat(np.sqrt(r_norm.max(axis=1)), n_query)
+        slack = 2.0 * _SLACK * ((np.sqrt(q_norm) + r_max) ** 2 + _TINY)
+        step = min(n_query, max(1, (_GEMM_MNK - 1) // (_AUG * n_ref)))
+        all_rows = np.arange(step)
+        cols_of = np.empty(len(query), dtype=np.int64)  # winners, as rows of their pair's ref
+        for p in range(pairs):
+            ref_p = ref[p * n_ref : (p + 1) * n_ref]
+            for start in range(p * n_query, (p + 1) * n_query, step):
+                stop = min(start + step, (p + 1) * n_query)
+                rows = all_rows[: stop - start]
+                g = q_aug[start:stop] @ r_aug[p]
+                cols = g.argmin(axis=1)
+                g_min = g[rows, cols]
+                thr = g_min + slack[start:stop]
+                g[rows, cols] = np.inf
+                single = g[rows, g.argmin(axis=1)] > thr
+                if not single.all():
+                    shared = np.flatnonzero(~single)
+                    g[shared, cols[shared]] = g_min[shared]
+                    cols[shared] = _first_minima(query[start:stop], ref_p, g[shared], thr[shared], shared)
+                cols_of[start:stop] = cols
+        indices = cols_of + np.repeat(np.arange(pairs) * n_ref, n_query)
+        diff = query - ref[indices]
+        return Matching(indices, np.einsum("ij,ij->i", diff, diff))
 
 
 def _first_minima(query, ref, g, thr, rows) -> np.ndarray:
@@ -239,7 +249,8 @@ class KdTree:
         return Matching(out_idx, out_d2)
 
     def _query_one(self, q: np.ndarray) -> tuple[int, float]:
-        best_idx = -1
+        # past every index, so a first distance of inf still ties its way in
+        best_idx = len(self.points)
         best_d2 = np.inf
         stack = [0]
         while stack:
@@ -289,18 +300,34 @@ def nn_match_stacked(query, ref, n_query: int, n_ref: int) -> Matching:
     """
     q = validate_cloud(query, "query")
     r = validate_cloud(ref, "reference")
-    if not (n_query >= 1 and n_ref >= 1 and len(q) % n_query == 0 and len(r) % n_ref == 0):
-        raise ValueError(f"nn_match_stacked: {len(q)} and {len(r)} rows do not split into {n_query} and {n_ref}")
-    if len(q) // n_query != len(r) // n_ref:
-        raise ValueError("nn_match_stacked: the two sides hold different numbers of clouds")
+    _pair_count(q, r, n_query, n_ref, "nn_match_stacked")
     return _match_brute(q, r, n_query, n_ref)
 
 
-def _mean_nn_dist(fwd: np.ndarray, rev: np.ndarray, squared: bool = False) -> float:
+def _pair_count(a: np.ndarray, b: np.ndarray, n_a: int, n_b: int, name: str) -> int:
+    if not (n_a >= 1 and n_b >= 1 and len(a) % n_a == 0 and len(b) % n_b == 0):
+        raise ValueError(f"{name}: {len(a)} and {len(b)} rows do not split into {n_a} and {n_b}")
+    if len(a) // n_a != len(b) // n_b:
+        raise ValueError(f"{name}: the two sides hold different numbers of clouds")
+    return len(a) // n_a
+
+
+def _sq_dists(query: np.ndarray, ref: np.ndarray, backend: str) -> np.ndarray:
+    """Squared nearest distances within B pairs of (B, m, 3) and (B, l, 3) clouds, as (B, m)."""
+    if backend == "brute":
+        m = _match_brute(query.reshape(-1, 3), ref.reshape(-1, 3), query.shape[1], ref.shape[1])
+        return m.sq_dists.reshape(query.shape[:2])
+    if backend == "kdtree":
+        return np.stack([KdTree(r).query(q).sq_dists for q, r in zip(query, ref)])
+    raise ValueError(f"unknown matching backend {backend!r}")
+
+
+def _mean_nn_dist(fwd: np.ndarray, rev: np.ndarray, squared: bool = False):
+    """Chamfer from the squared distances of each direction; one per row of 2-d input."""
     if not squared:
         fwd = np.sqrt(fwd)
         rev = np.sqrt(rev)
-    return 0.5 * (float(fwd.mean()) + float(rev.mean()))
+    return 0.5 * (fwd.mean(axis=-1) + rev.mean(axis=-1))
 
 
 def chamfer(a, b, backend: str = "brute", squared: bool = False) -> float:
@@ -312,7 +339,7 @@ def chamfer(a, b, backend: str = "brute", squared: bool = False) -> float:
     """
     pa = validate_cloud(a, "a")
     pb = validate_cloud(b, "b")
-    return _mean_nn_dist(nn_match(pa, pb, backend).sq_dists, nn_match(pb, pa, backend).sq_dists, squared)
+    return float(_mean_nn_dist(nn_match(pa, pb, backend).sq_dists, nn_match(pb, pa, backend).sq_dists, squared))
 
 
 def hausdorff(a, b, backend: str = "brute") -> float:
@@ -330,44 +357,57 @@ def fps(points, k: int, seed_index: int = 0) -> np.ndarray:
     Starts from ``seed_index``; each round adds the point with the largest
     squared distance to the chosen set (ties toward the lowest index).
     Deterministic for fixed inputs, and greedy: ``fps(p, k)[:j]`` equals
-    ``fps(p, j)`` for every j <= k.
-
-    The loop works on three contiguous coordinate arrays x, y, z with
-    preallocated length-n buffers, so each round is ten whole-array ufunc
-    calls; an (n, 3) row layout spends most of a round in length-3 inner
-    loops. Squared distances are summed as (dx^2 + dz^2) + dy^2, the order
-    in which NumPy's ``einsum("ij,ij->i", d, d)`` sums a 3-wide row, so
-    they equal the explicit form used by :func:`nn_match` to the bit, and
-    the chosen indices do not depend on the layout.
+    ``fps(p, j)`` for every j <= k. The one-cloud case of the lockstep
+    traversal that :func:`pair_metrics_stacked` runs on many clouds.
     """
-    pts = validate_cloud(points, "points")
-    n = pts.shape[0]
+    return _fps_lockstep(validate_cloud(points, "points")[None], k, seed_index)[0]
+
+
+def _fps_lockstep(clouds: np.ndarray, k: int, seed_index: int) -> np.ndarray:
+    """:func:`fps` of each of B equal-size clouds (B, n, 3) at once, as (B, k) indices.
+
+    Every round moves all B traversals forward together, so one round is
+    seven whole-array calls on (3, B, n) coordinates and (B, n) distances
+    whatever B is, and the Python cost of a round is shared by B clouds.
+    Each cloud's chosen indices equal its own traversal's: every element
+    sees the same operations, and ``argmax(axis=1)`` takes the first
+    maximum of each row, the lowest index on ties. Squared distances are
+    summed as (dx^2 + dz^2) + dy^2, the order in which NumPy's
+    ``einsum("ij,ij->i", d, d)`` sums a 3-wide row, so they equal the
+    explicit form used by :func:`nn_match` to the bit. Measured against one
+    traversal per cloud on (n,) arrays (2-core x86, 2 MiB L2 per core): at
+    256 points, 0.31x the time per cloud for 8 clouds and 0.2x for 32-64;
+    at 2048 points, 0.74-0.95x for 4-16 clouds, 1.2x for one, and up to
+    1.17x for 32, whose arrays no longer fit in L2.
+    """
+    b, n, _ = clouds.shape
     if not 1 <= k <= n:
         raise ValueError(f"fps: k must be in [1, {n}], got {k}")
     if not 0 <= seed_index < n:
         raise ValueError(f"fps: seed index {seed_index} out of range for {n} points")
-    x, y, z = (np.ascontiguousarray(c) for c in pts.T)
-    dx, dy, dz = np.empty(n), np.empty(n), np.empty(n)
+    coords = np.ascontiguousarray(clouds.transpose(2, 0, 1))
+    flat = coords.reshape(3, b * n)
+    first = np.arange(b) * n  # each cloud's first entry in flat
+    d = np.empty_like(coords)
+    dx, dy, dz = d
 
-    def sq_dists_to(i: int, out: np.ndarray) -> None:
-        np.subtract(x, x[i], out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract(y, y[i], out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.subtract(z, z[i], out=dz)
-        np.multiply(dz, dz, out=dz)
+    def sq_dists_to(idx: np.ndarray, out: np.ndarray) -> None:
+        # NumPy subtracts a broadcast (3, b, 1) operand 2.7x slower per entry
+        # than a whole array, so d is filled with it first
+        d[...] = flat[:, first + idx, None]
+        np.subtract(coords, d, out=d)
+        np.multiply(d, d, out=d)
         np.add(dx, dz, out=dx)
         np.add(dx, dy, out=out)
 
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = seed_index
-    min_d2 = np.empty(n)
+    chosen = np.empty((b, k), dtype=np.int64)
+    chosen[:, 0] = seed_index
+    min_d2 = np.empty((b, n))
     # differences and squares that overflow become inf without a warning, as in einsum
     with np.errstate(over="ignore"):
-        sq_dists_to(seed_index, min_d2)
+        sq_dists_to(chosen[:, 0], min_d2)
         for t in range(1, k):
-            nxt = int(min_d2.argmax())  # first maximum == lowest index on ties
-            chosen[t] = nxt
+            chosen[:, t] = nxt = min_d2.argmax(axis=1)  # first maximum == lowest index on ties
             sq_dists_to(nxt, dx)
             np.minimum(min_d2, dx, out=min_d2)
     return chosen
@@ -394,40 +434,59 @@ def mcd(
     for s in scales:
         if not 0.0 < s <= 1.0:
             raise ValueError(f"mcd: scales must lie in (0, 1], got {s}")
-    return _mcd(pa, pb, scales, backend, seed_index)
-
-
-def _mcd(pa, pb, scales, backend, seed_index, full_cd=None) -> float:
-    """:func:`mcd` on checked clouds; ``full_cd`` stands in for the scale-1 chamfer.
-
-    One traversal per cloud, at the largest subsampled size, serves every
-    smaller scale as a prefix.
-    """
-    sub = [s for s in scales if s != 1.0]
-    if sub:
-        order_a = fps(pa, max(1, int(pa.shape[0] * max(sub))), seed_index)
-        order_b = fps(pb, max(1, int(pb.shape[0] * max(sub))), seed_index)
-    total = 0.0
-    for s in scales:
-        if s == 1.0:
-            total += chamfer(pa, pb, backend) if full_cd is None else full_cd
-        else:
-            sa = pa[order_a[: max(1, int(pa.shape[0] * s))]]
-            sb = pb[order_b[: max(1, int(pb.shape[0] * s))]]
-            total += chamfer(sa, sb, backend)
-    return total / len(scales)
+    return float(_stacked_metrics(pa[None], pb[None], scales, backend, seed_index)[1][0])
 
 
 def pair_metrics(a, b, backend: str = "brute") -> tuple[float, float, float]:
     """``(chamfer(a, b), mcd(a, b), hausdorff(a, b))`` from one matching each way.
 
-    The two full-size matchings give chamfer, hausdorff and mcd's scale-1
-    term, and every value equals the separate call's to the bit.
+    The one-pair case of :func:`pair_metrics_stacked`.
     """
     pa = validate_cloud(a, "a")
     pb = validate_cloud(b, "b")
-    fwd = nn_match(pa, pb, backend).sq_dists
-    rev = nn_match(pb, pa, backend).sq_dists
+    return tuple(float(v[0]) for v in _stacked_metrics(pa[None], pb[None], DEFAULT_MCD_SCALES, backend, 0))
+
+
+def pair_metrics_stacked(a, b, n_a: int, n_b: int, backend: str = "brute"):
+    """:func:`pair_metrics` of B cloud pairs stacked as B blocks of rows, in one call.
+
+    ``a`` holds B consecutive clouds of ``n_a`` points and ``b`` B of
+    ``n_b``. Returns three length-B arrays, the chamfer, mcd and hausdorff
+    of each pair, each equal to the separate call's to the bit.
+    """
+    pa = validate_cloud(a, "a")
+    pb = validate_cloud(b, "b")
+    pairs = _pair_count(pa, pb, n_a, n_b, "pair_metrics_stacked")
+    return _stacked_metrics(pa.reshape(pairs, n_a, 3), pb.reshape(pairs, n_b, 3), DEFAULT_MCD_SCALES, backend, 0)
+
+
+def _stacked_metrics(a: np.ndarray, b: np.ndarray, scales, backend: str, seed_index: int):
+    """Chamfer, mcd at ``scales`` and hausdorff of B pairs of (B, n_a, 3) and (B, n_b, 3) clouds.
+
+    The two full-size matchings give chamfer, hausdorff and mcd's scale-1
+    term. Every other scale gets one stacked matching per direction. One
+    lockstep traversal per cloud size, at the largest subsampled size,
+    serves every smaller scale as a prefix: when n_a == n_b the a and b
+    clouds share it. Means and maxima run over each pair's own row.
+    """
+    fwd = _sq_dists(a, b, backend)
+    rev = _sq_dists(b, a, backend)
     cd = _mean_nn_dist(fwd, rev)
-    hd = float(np.sqrt(max(fwd.max(), rev.max())))
-    return cd, _mcd(pa, pb, DEFAULT_MCD_SCALES, backend, 0, full_cd=cd), hd
+    hd = np.sqrt(np.maximum(fwd.max(axis=1), rev.max(axis=1)))
+    sub = [s for s in scales if s != 1.0]
+    if sub:
+        k_a, k_b = (max(1, int(n * max(sub))) for n in (a.shape[1], b.shape[1]))
+        if a.shape == b.shape:
+            order_a, order_b = np.split(_fps_lockstep(np.concatenate([a, b]), k_a, seed_index), 2)
+        else:
+            order_a, order_b = _fps_lockstep(a, k_a, seed_index), _fps_lockstep(b, k_b, seed_index)
+    rows = np.arange(len(a))[:, None]
+    total = 0.0
+    for s in scales:
+        if s == 1.0:
+            total = total + cd
+        else:
+            sa = a[rows, order_a[:, : max(1, int(a.shape[1] * s))]]
+            sb = b[rows, order_b[:, : max(1, int(b.shape[1] * s))]]
+            total = total + _mean_nn_dist(_sq_dists(sa, sb, backend), _sq_dists(sb, sa, backend))
+    return cd, total / len(scales), hd

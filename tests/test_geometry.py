@@ -79,6 +79,18 @@ def test_kdtree_matches_brute_exactly():
         assert np.array_equal(b.sq_dists, k.sq_dists), f"trial {trial}"
 
 
+def test_kdtree_matches_brute_where_every_distance_overflows():
+    # every squared distance from the query is inf: the scan keeps the first
+    # reference; a tree that starts from index -1 could never replace it
+    ref_x = 1e154 * (1.0 + np.arange(40) / 40)
+    for ref in (np.array([[1e154, 0, 0], [2e154, 0, 0]]), np.column_stack([ref_x, ref_x[::-1], ref_x])):
+        with np.errstate(over="ignore"):
+            b = nn_match([[-1e154, 0, 0]], ref, "brute")
+            k = nn_match([[-1e154, 0, 0]], ref, "kdtree")
+        assert b.indices.tolist() == k.indices.tolist() == [0]
+        assert b.sq_dists.tolist() == k.sq_dists.tolist() == [np.inf]
+
+
 def test_kdtree_query_validates_input():
     tree = KdTree(np.zeros((5, 3)))
     with pytest.raises(ValueError):

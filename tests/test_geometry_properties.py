@@ -1,10 +1,10 @@
-"""Property tests: the matcher, fps and the one-matching pair metrics.
+"""Property tests: the matcher, fps and the stacked pair metrics.
 
 The oracles here are the plain definitions: an explicit all-pairs
 difference scan, the kd-tree (one query per pair for the stacked
-matcher), an fps loop over (n, 3) rows with einsum, one fps call per
-scale, and the public metric functions called one by one. Equality is to
-the bit.
+matcher), an fps loop over (n, 3) rows with einsum for each cloud of a
+lockstep traversal, one fps call per scale, and the public metric
+functions called one pair at a time. Equality is to the bit.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from lcd.geometry import (
     DEFAULT_MCD_SCALES,
     KdTree,
+    _fps_lockstep,
     chamfer,
     fps,
     hausdorff,
@@ -23,6 +24,7 @@ from lcd.geometry import (
     nn_match,
     nn_match_stacked,
     pair_metrics,
+    pair_metrics_stacked,
 )
 from lcd.dataio import gen_shapes
 
@@ -98,10 +100,10 @@ def test_matcher_is_exact_with_one_query_row_per_chunk():
 
 
 @st.composite
-def stacked_pairs(draw, max_points=24):
+def stacked_pairs(draw, max_points=24, unique_sizes=True):
     grid = draw(st.booleans())
     pairs = draw(st.integers(1, 4))
-    n_a, n_b = draw(st.lists(st.integers(1, max_points), min_size=2, max_size=2, unique=True))
+    n_a, n_b = draw(st.lists(st.integers(1, max_points), min_size=2, max_size=2, unique=unique_sizes))
     a = [_cloud(draw, n_a, grid) for _ in range(pairs)]
     if draw(st.booleans()):
         # each b cloud repeats points of its a cloud: zero distances and duplicates
@@ -194,6 +196,27 @@ def test_matcher_is_exact_where_the_candidate_bound_is_not_finite(scale):
     assert np.array_equal(pieces.indices[:12], want_idx)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_matcher_and_stacked_metrics_do_not_warn_near_the_overflow():
+    # at 1.2e154 the candidate bound and the GEMM overflow, and squared
+    # distances past 1.8e308 become inf; the clouds are valid all the same
+    corners = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
+    rng = np.random.default_rng(16)
+    ref = corners * 1.2e154
+    query = (np.concatenate([corners[::-1], corners]) + rng.normal(size=(12, 3)) * 1e-3) * 1.2e154
+    want_idx, _ = _explicit_match(query * 2.0**-512, ref * 2.0**-512)  # exact rescaling
+    assert np.array_equal(nn_match(query, ref).indices, want_idx)
+    assert np.array_equal(nn_match(ref, ref).sq_dists, np.zeros(6))
+    stacked = nn_match_stacked(np.concatenate([query, query]), np.concatenate([ref, -ref]), 12, 6)
+    assert np.array_equal(stacked.indices[:12], want_idx)
+    # pair 0's hausdorff distance is past the overflow; pair 1's clouds hold the same points
+    a, b = np.concatenate([query, ref, ref]), np.concatenate([-ref, ref[::-1]])
+    cd, m, hd = pair_metrics_stacked(a, b, 12, 6)
+    assert np.isinf(hd[0]) and cd[1] == hd[1] == 0.0
+    assert (cd[0], m[0], hd[0]) == pair_metrics(query, -ref)
+    assert (cd[1], m[1], hd[1]) == pair_metrics(a[12:], ref[::-1])
+
+
 def test_matcher_with_one_reference_point():
     rng = np.random.default_rng(14)
     query = rng.normal(size=(30, 3))
@@ -257,11 +280,33 @@ def test_fps_equals_the_row_layout_loop_on_edge_clouds():
     ]
     for points, k, seed_index in cases:
         assert fps(points, k, seed_index).tolist() == _fps_rows(points, k, seed_index)
+        # the same cloud beside its reversal, in one lockstep traversal
+        pair = _fps_lockstep(np.stack([points, points[::-1]]), k, seed_index)
+        assert pair.tolist() == [_fps_rows(points, k, seed_index), _fps_rows(points[::-1], k, seed_index)]
 
 
 def test_fps_equals_the_row_layout_loop_on_a_2048_point_cloud():
     points = gen_shapes(("torus",), count=1, points=2048, seed=5).clouds[0]
     assert fps(points, 2048).tolist() == _fps_rows(points, 2048)
+
+
+@PROPERTY
+@given(st.data())
+def test_lockstep_traversal_equals_the_row_loop_for_each_cloud(data):
+    b, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40))
+    grid = data.draw(st.booleans())
+    clouds = np.stack([_cloud(data.draw, n, grid) for _ in range(b)])
+    if data.draw(st.booleans()):  # duplicated points: the clouds repeat some of their rows
+        clouds = clouds[:, data.draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))]
+    # a scale per cloud, up to 1e160: past about 1e154, squares overflow to inf
+    scales = [10.0 ** data.draw(st.floats(-160.0, 160.0)) for _ in range(b)]
+    clouds = clouds * np.array(scales)[:, None, None]
+    k = data.draw(st.integers(1, n))
+    seed_index = data.draw(st.integers(0, n - 1))
+    chosen = _fps_lockstep(clouds, k, seed_index)
+    assert chosen.shape == (len(clouds), k)
+    for block, want in zip(clouds, chosen):
+        assert want.tolist() == _fps_rows(block, k, seed_index)
 
 
 def test_per_coordinate_sum_equals_einsum_bit_for_bit():
@@ -297,3 +342,27 @@ def test_pair_metrics_equal_the_separate_calls(pair):
     assert hd == hausdorff(a, b)
     scales = (0.3, 1.0, 0.7, 0.05)
     assert mcd(a, b, scales) == _mcd_one_fps_per_scale(a, b, scales)
+
+
+@PROPERTY
+@given(stacked_pairs(unique_sizes=False), st.sampled_from(["brute", "kdtree"]))
+@example(([np.zeros((1, 3))], [np.array([[1.0, 0, 0], [-1.0, 0, 0]])]), "kdtree")
+@example(([np.ones((1, 3)), np.zeros((1, 3))], [np.ones((1, 3)), np.ones((1, 3))]), "brute")
+def test_stacked_pair_metrics_equal_the_separate_calls_for_each_pair(pairs, backend):
+    a, b = pairs
+    cd, m, hd = pair_metrics_stacked(np.concatenate(a), np.concatenate(b), len(a[0]), len(b[0]), backend)
+    assert cd.shape == m.shape == hd.shape == (len(a),)
+    for p, (pa, pb) in enumerate(zip(a, b)):
+        assert cd[p] == chamfer(pa, pb, backend), p
+        assert m[p] == mcd(pa, pb, backend=backend) == _mcd_one_fps_per_scale(pa, pb), p
+        assert hd[p] == hausdorff(pa, pb, backend), p
+        assert (cd[p], m[p], hd[p]) == pair_metrics(pa, pb, backend), p
+
+
+def test_stacked_pair_metrics_reject_blocks_that_do_not_pair_up():
+    with pytest.raises(ValueError, match="do not split"):
+        pair_metrics_stacked(np.zeros((6, 3)), np.zeros((4, 3)), 4, 2)
+    with pytest.raises(ValueError, match="different numbers of clouds"):
+        pair_metrics_stacked(np.zeros((6, 3)), np.zeros((4, 3)), 3, 1)
+    with pytest.raises(ValueError, match="unknown matching backend"):
+        pair_metrics_stacked(np.zeros((2, 3)), np.zeros((2, 3)), 1, 1, "octree")

@@ -9,7 +9,7 @@ import pytest
 
 from lcd import autodiff as ad
 from lcd import trainer
-from lcd.dataio import gen_shapes
+from lcd.dataio import Dataset, gen_shapes
 from lcd.geometry import chamfer, hausdorff, mcd
 from lcd.lcdloss import adversarial_loss, init_lcd_params, lcd_forward
 from lcd.reconnet import init_recon_params, output_points, reconstruct
@@ -249,6 +249,37 @@ def test_evaluate_in_chunks_equals_one_stacked_reconstruction(monkeypatch):
         ev = evaluate(recon, ds)
         assert (ev.cd, ev.mcd, ev.hd) == tuple(float(x) for x in want), rows
         assert ev.per_family["torus"].cd == float(sums["torus"][0])
+
+
+@pytest.mark.parametrize("backend", ["brute", "kdtree"])
+def test_evaluate_scores_chunks_of_pairs_like_the_separate_metric_calls(monkeypatch, backend):
+    recon, _ = _nets(points=16)
+    clouds = gen_shapes(("sphere", "cube", "torus"), count=5, points=24, seed=5).clouds
+    ds = Dataset(clouds, [f"cloud{k}" for k in range(5)])  # one cloud per label: its own values
+    out = reconstruct(ad.tensor(np.concatenate(clouds)), recon, 24).data
+    want = {}
+    for k, (label, src) in enumerate(zip(ds.labels, clouds)):
+        rec = out[k * 16 : (k + 1) * 16]
+        want[label] = (chamfer(src, rec, backend), mcd(src, rec, backend=backend), hausdorff(src, rec, backend))
+    for rows in (trainer.EVAL_SCORE_ROWS, 2 * (24 + 16) + 39, 1):  # chunks of 5; 2, 2, 1; 1 each
+        monkeypatch.setattr(trainer, "EVAL_SCORE_ROWS", rows)
+        ev = evaluate(recon, ds, backend)
+        assert {label: (r.cd, r.mcd, r.hd) for label, r in ev.per_family.items()} == want, rows
+
+
+def test_evaluate_with_either_backend_where_every_distance_overflows():
+    # every reconstructed point sits at x = 1e154 and every input point at
+    # x <= -1e154, so every squared distance is inf under both backends
+    recon, _ = _nets(points=16)
+    recon["dec.w0"].data[...] = 0.0
+    recon["dec.w1"].data[...] = 0.0
+    recon["dec.b1"].data[...] = np.tile([1e154, 0.0, 0.0], 16)
+    cloud = np.zeros((16, 3))
+    cloud[:, 0] = -1e154 * (1.0 + np.arange(16) / 16)
+    ds = Dataset([cloud, cloud[::-1].copy()], ["line", "line"])
+    with np.errstate(over="ignore"):
+        brute, kdtree = evaluate(recon, ds, "brute"), evaluate(recon, ds, "kdtree")
+    assert (brute.cd, brute.mcd, brute.hd) == (kdtree.cd, kdtree.mcd, kdtree.hd) == (np.inf,) * 3
 
 
 def test_evaluate_memory_does_not_grow_with_the_cloud_count():

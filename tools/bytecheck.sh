@@ -5,8 +5,10 @@
 #
 # Both trees run `lcd gen-data` at 256 and at 2048 points, then a short
 # fixed-seed `lcd train` for each loss configuration below and `lcd eval` of its
-# checkpoint on both data sets. The 2048-point eval covers large-n matching and
-# clouds of unequal size (2048 inputs against 256 reconstructed points). The
+# checkpoint on both data sets, plus `lcd eval --backend kdtree` on the
+# 256-point set. The 2048-point eval covers large-n matching and clouds of
+# unequal size (2048 inputs against 256 reconstructed points); the kd-tree eval
+# covers the other matching backend of the metric code. The
 # working tree's `lcd eval` then also runs on <rev>'s checkpoints, on both data
 # sets (the cross-evals).
 #
@@ -41,6 +43,7 @@ eval_both() { # eval_both <tree> <ckpt dir> <data parent dir> <out>
     local lcd=(env "PYTHONPATH=$1/src" "$python" -m lcd.cli)
     "${lcd[@]}" eval --ckpt-recon "$2/ckpt_recon.txt" --data "$3/data" --out "$4" >/dev/null
     "${lcd[@]}" eval --ckpt-recon "$2/ckpt_recon.txt" --data "$3/data_2048" --out "$4/eval_2048" >/dev/null
+    "${lcd[@]}" eval --ckpt-recon "$2/ckpt_recon.txt" --data "$3/data" --backend kdtree --out "$4/eval_kdtree" >/dev/null
 }
 
 run_tree() { # run_tree <tree> <out>
